@@ -7,7 +7,11 @@
 set -euo pipefail
 dir="${1:-.}"
 count="${BENCH_COUNT:-6}"
+own="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$dir"
+# GOMAXPROCS defaults to the CPUs this process may run on; benchgate records
+# it, with go test's cpu line, in the BENCH json.
+echo "gomaxprocs: ${GOMAXPROCS:-$(nproc)}"
 
 # run <bench-regex> <benchtime> <package>: one gated benchmark invocation.
 # A pattern that matches nothing fails loudly here — a silently-skipped
@@ -21,6 +25,15 @@ run() {
     echo "bench.sh: skipping $pkg (not present in this tree)" >&2
     return 0
   fi
+  # Likewise a benchmark function the PR adds to an existing package is
+  # skipped, but only in another tree (the base): in the script's own tree a
+  # missing function is a rename and fails below.
+  local fn="${pattern#^}"
+  fn="${fn%%[$/]*}"
+  if [ "$(pwd)" != "$own" ] && ! grep -q "^func $fn(" "${pkg#./}"/*_test.go; then
+    echo "bench.sh: skipping $fn in $pkg (not present in this tree)" >&2
+    return 0
+  fi
   out="$(go test -run='^$' -bench="$pattern" -benchtime="$benchtime" -count="$count" "$pkg")"
   printf '%s\n' "$out"
   if ! printf '%s\n' "$out" | grep -q '^Benchmark'; then
@@ -31,9 +44,14 @@ run() {
 
 run '^BenchmarkBusDispatch$' 1000x ./internal/bus
 run '^BenchmarkTelemetryIngest$' 100x ./internal/tsdb
+# The same round appended by series handle (Ref once, then AppendRefs).
+run '^BenchmarkAppendRefs$' 2000x ./internal/tsdb
 run '^BenchmarkQueryMatcher$' 50x ./internal/tsdb
 run '^BenchmarkShardedAppend$' 100000x ./internal/tsdb
 run '^BenchmarkWindowQuery$' 2000x ./internal/tsdb
+# Fleet-wide newest-point read at 1000 and 10240 series: the key-order sort
+# must stay O(n log n), so ns/op may grow ~10x between the rows, not ~100x.
+run '^BenchmarkLatestInto$' 200x ./internal/tsdb
 # Detector stepping is every loop's per-tick inner loop. Only the streaming
 # rows run here (benchgate gates every shared benchmark name, so the noisy
 # O(W log W) naive baselines are kept out of CI); run the full

@@ -46,7 +46,11 @@ func main() {
 		os.Exit(2)
 	}
 	if *jsonPath != "" {
-		if err := writeArtifact(*jsonPath, head); err != nil {
+		b, err := readBoxFile(*headPath)
+		if err == nil {
+			err = writeArtifact(*jsonPath, head, b)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchgate:", err)
 			os.Exit(2)
 		}
@@ -89,6 +93,39 @@ func parse(r io.Reader) (map[string][]float64, error) {
 		}
 	}
 	return out, sc.Err()
+}
+
+// box is the machine a bench run came from, as its output records it: the
+// "cpu:" header go test prints and the "gomaxprocs:" line bench.sh prints.
+// Numbers are only comparable between runs on the same box.
+type box struct {
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+}
+
+func readBoxFile(path string) (box, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return box{}, err
+	}
+	defer f.Close()
+	return readBox(f)
+}
+
+// readBox takes the first cpu and gomaxprocs header lines of a run.
+func readBox(r io.Reader) (box, error) {
+	var b box
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		if v, ok := strings.CutPrefix(line, "cpu: "); ok && b.CPU == "" {
+			b.CPU = strings.TrimSpace(v)
+		}
+		if v, ok := strings.CutPrefix(line, "gomaxprocs: "); ok && b.GOMAXPROCS == 0 {
+			b.GOMAXPROCS, _ = strconv.Atoi(strings.TrimSpace(v))
+		}
+	}
+	return b, sc.Err()
 }
 
 // parseLine extracts (name, ns/op) from one result line, e.g.
@@ -165,6 +202,7 @@ func compare(base, head map[string][]float64, maxRegress float64) (report string
 
 // artifact is the JSON shape of one recorded bench run (BENCH_pr3.json).
 type artifact struct {
+	box
 	Benchmarks map[string]artifactEntry `json:"benchmarks"`
 }
 
@@ -173,8 +211,8 @@ type artifactEntry struct {
 	Runs    int     `json:"runs"`
 }
 
-func writeArtifact(path string, head map[string][]float64) error {
-	a := artifact{Benchmarks: make(map[string]artifactEntry, len(head))}
+func writeArtifact(path string, head map[string][]float64, b box) error {
+	a := artifact{box: b, Benchmarks: make(map[string]artifactEntry, len(head))}
 	for name, samples := range head {
 		a.Benchmarks[name] = artifactEntry{NsPerOp: median(samples), Runs: len(samples)}
 	}

@@ -8,7 +8,8 @@ import (
 	"testing"
 )
 
-const sampleOutput = `goos: linux
+const sampleOutput = `gomaxprocs: 2
+goos: linux
 goarch: amd64
 pkg: autoloop/internal/bus
 cpu: Some CPU
@@ -86,7 +87,14 @@ func TestCompareFlagsRegressions(t *testing.T) {
 func TestWriteArtifact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH.json")
 	head := map[string][]float64{"BenchmarkA-2": {10, 30, 20}}
-	if err := writeArtifact(path, head); err != nil {
+	b, err := readBox(strings.NewReader(sampleOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.CPU != "Some CPU" || b.GOMAXPROCS != 2 {
+		t.Errorf("box = %+v, want Some CPU at GOMAXPROCS 2", b)
+	}
+	if err := writeArtifact(path, head, b); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -100,5 +108,8 @@ func TestWriteArtifact(t *testing.T) {
 	e := a.Benchmarks["BenchmarkA-2"]
 	if e.NsPerOp != 20 || e.Runs != 3 {
 		t.Errorf("artifact entry = %+v, want median 20 over 3 runs", e)
+	}
+	if a.CPU != "Some CPU" || a.GOMAXPROCS != 2 {
+		t.Errorf("artifact box = %q at %d, want Some CPU at 2", a.CPU, a.GOMAXPROCS)
 	}
 }

@@ -308,34 +308,117 @@ func (c *Cluster) TotalPowerW() float64 {
 	return total
 }
 
+// nodeMetrics are the per-node readings every sweep emits, in emit order.
+var nodeMetrics = [...]string{"node.cpu.util", "node.power.watts", "node.temp.celsius", "node.mem.used_gb", "node.cores.used"}
+
+const numNodeMetrics = len(nodeMetrics)
+
 // Collector returns a telemetry collector emitting, per up node:
 // node.cpu.util, node.power.watts, node.temp.celsius, node.mem.used_gb,
 // node.cores.used — the "System Hardware" sensor domain of Fig. 1.
+//
+// The collector is also a telemetry.RefCollector. Both paths run the same
+// sweep. Collect returns Points whose Labels are built on a node's first
+// sweep and shared by every later one, so they are immutable: callers must
+// not modify them. CollectRefs resolves each node's handles on the node's
+// first sweep for a sink and, after that, fills collector-owned buffers
+// without allocating.
 func (c *Cluster) Collector() telemetry.Collector {
-	return telemetry.CollectorFunc(func(now time.Duration) []telemetry.Point {
-		pts := make([]telemetry.Point, 0, len(c.nodes)*5)
-		for _, n := range c.nodes {
-			if n.State == NodeDown {
-				continue
-			}
-			c.advanceThermal(n)
-			labels := telemetry.Labels{"node": n.ID, "rack": n.Rack}
-			noise := func() float64 {
-				if c.cfg.SensorNoise <= 0 {
-					return 1
-				}
-				return 1 + c.engine.Rand().NormFloat64()*c.cfg.SensorNoise
-			}
-			pts = append(pts,
-				telemetry.Point{Name: "node.cpu.util", Labels: labels, Time: now, Value: clamp01(n.util * noise())},
-				telemetry.Point{Name: "node.power.watts", Labels: labels, Time: now, Value: n.PowerW(c.cfg) * noise()},
-				telemetry.Point{Name: "node.temp.celsius", Labels: labels, Time: now, Value: n.tempC * n.sensorMult * noise()},
-				telemetry.Point{Name: "node.mem.used_gb", Labels: labels, Time: now, Value: n.MemUsedGB},
-				telemetry.Point{Name: "node.cores.used", Labels: labels, Time: now, Value: float64(n.CoresUsed)},
-			)
+	return &collector{c: c}
+}
+
+// collector is the cluster's sensor sweep with its point and handle outputs.
+type collector struct {
+	c      *Cluster
+	labels []telemetry.Labels // per node, built on first use, then immutable
+
+	// Sweep output: the indices of the nodes read and their readings,
+	// numNodeMetrics per node in nodeMetrics order.
+	up   []int32
+	vals []float64
+
+	// Handle path: refs[i] holds node i's handles against sink; a zero
+	// first handle marks an unresolved node.
+	sink telemetry.RefSink
+	refs [][numNodeMetrics]telemetry.SeriesRef
+	out  []telemetry.SeriesRef
+}
+
+// sweep reads every up node into k.up and k.vals, drawing sensor noise in
+// node then metric order.
+func (k *collector) sweep() {
+	c := k.c
+	k.up, k.vals = k.up[:0], k.vals[:0]
+	noise := func() float64 {
+		if c.cfg.SensorNoise <= 0 {
+			return 1
 		}
-		return pts
-	})
+		return 1 + c.engine.Rand().NormFloat64()*c.cfg.SensorNoise
+	}
+	for i, n := range c.nodes {
+		if n.State == NodeDown {
+			continue
+		}
+		c.advanceThermal(n)
+		k.up = append(k.up, int32(i))
+		k.vals = append(k.vals,
+			clamp01(n.util*noise()),
+			n.PowerW(c.cfg)*noise(),
+			n.tempC*n.sensorMult*noise(),
+			n.MemUsedGB,
+			float64(n.CoresUsed),
+		)
+	}
+}
+
+// nodeLabels returns node i's labels, building them on first use.
+func (k *collector) nodeLabels(i int32) telemetry.Labels {
+	if k.labels == nil {
+		k.labels = make([]telemetry.Labels, len(k.c.nodes))
+	}
+	if k.labels[i] == nil {
+		n := k.c.nodes[i]
+		k.labels[i] = telemetry.Labels{"node": n.ID, "rack": n.Rack}
+	}
+	return k.labels[i]
+}
+
+// Collect implements telemetry.Collector.
+func (k *collector) Collect(now time.Duration) []telemetry.Point {
+	k.sweep()
+	pts := make([]telemetry.Point, 0, len(k.vals))
+	for j, i := range k.up {
+		labels := k.nodeLabels(i)
+		for m, name := range nodeMetrics {
+			pts = append(pts, telemetry.Point{Name: name, Labels: labels, Time: now, Value: k.vals[j*numNodeMetrics+m]})
+		}
+	}
+	return pts
+}
+
+// CollectRefs implements telemetry.RefCollector.
+func (k *collector) CollectRefs(now time.Duration, sink telemetry.RefSink) ([]telemetry.SeriesRef, []float64, error) {
+	if sink != k.sink {
+		k.sink = sink
+		k.refs = make([][numNodeMetrics]telemetry.SeriesRef, len(k.c.nodes))
+	}
+	k.sweep()
+	k.out = k.out[:0]
+	for _, i := range k.up {
+		r := &k.refs[i]
+		if r[0] == 0 {
+			for m, name := range nodeMetrics {
+				ref, err := sink.Ref(name, k.nodeLabels(i))
+				if err != nil {
+					r[0] = 0
+					return nil, nil, err
+				}
+				r[m] = ref
+			}
+		}
+		k.out = append(k.out, r[:]...)
+	}
+	return k.out, k.vals, nil
 }
 
 func clamp01(v float64) float64 { return math.Max(0, math.Min(1, v)) }

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"autoloop/internal/sim"
+	"autoloop/internal/telemetry"
+	"autoloop/internal/tsdb"
 )
 
 func newTestCluster(t *testing.T) (*sim.Engine, *Cluster) {
@@ -176,6 +178,87 @@ func TestCollectorEmitsPerUpNode(t *testing.T) {
 	for _, name := range []string{"node.cpu.util", "node.power.watts", "node.temp.celsius", "node.mem.used_gb", "node.cores.used"} {
 		if !seen[name] {
 			t.Errorf("missing metric %s", name)
+		}
+	}
+
+	// The point path and the handle path of the same seeded run must store
+	// byte-identical databases, across a node going down and coming back.
+	run := func(byRef bool) []byte {
+		e := sim.NewEngine(7)
+		cfg := DefaultConfig()
+		cfg.Nodes, cfg.NodesPerRack = 6, 3 // sensor noise on: the RNG stream is compared too
+		c := New(e, cfg)
+		col := c.Collector()
+		db := tsdb.New(0)
+		for step := 1; step <= 12; step++ {
+			switch step {
+			case 4:
+				_ = c.SetState("n002", NodeDown)
+			case 8:
+				_ = c.SetState("n002", NodeUp)
+			}
+			c.SetUtil("n000", float64(step%4)/4)
+			now := time.Duration(step) * 30 * time.Second
+			e.RunUntil(now)
+			if byRef {
+				refs, vals, err := col.(telemetry.RefCollector).CollectRefs(now, db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := db.AppendRefs(now, refs, vals); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := db.AppendBatch(col.Collect(now)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := db.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	if a, b := run(false), run(true); string(a) != string(b) {
+		t.Fatalf("point and handle paths diverge:\n points: %s\n refs:   %s", a, b)
+	}
+}
+
+// TestCollectorRefSweepAllocs gates the warm handle sweep at 0 allocations.
+func TestCollectorRefSweepAllocs(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := DefaultConfig()
+	c := New(e, cfg)
+	col := c.Collector().(telemetry.RefCollector)
+	db := tsdb.New(time.Hour)
+	now := time.Duration(0)
+	sweep := func() {
+		now += 30 * time.Second
+		refs, vals, err := col.CollectRefs(now, db)
+		if err != nil || len(refs) != cfg.Nodes*5 || len(vals) != len(refs) {
+			t.Fatalf("CollectRefs = %d refs, %d vals, %v", len(refs), len(vals), err)
+		}
+	}
+	sweep()
+	if allocs := testing.AllocsPerRun(100, sweep); allocs != 0 {
+		t.Fatalf("warm ref sweep allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestCollectorReresolvesForNewSink checks that handles are per sink: a
+// second store gets its own series, not the first store's handles.
+func TestCollectorReresolvesForNewSink(t *testing.T) {
+	e, c := newTestCluster(t)
+	col := c.Collector().(telemetry.RefCollector)
+	for _, db := range []*tsdb.DB{tsdb.New(0), tsdb.New(0)} {
+		refs, vals, err := col.CollectRefs(e.Now(), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.AppendRefs(e.Now(), refs, vals); err != nil {
+			t.Fatalf("AppendRefs into a new sink: %v", err)
+		}
+		if db.NumSeries() != 4*5 {
+			t.Errorf("NumSeries = %d, want 20", db.NumSeries())
 		}
 	}
 }

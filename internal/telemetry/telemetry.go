@@ -118,7 +118,9 @@ func (s *Series) Last() (Sample, bool) {
 }
 
 // Collector is implemented by every monitored substrate component. Collect
-// reports the component's current sensor readings at virtual time now.
+// reports the component's current sensor readings at virtual time now. A
+// collector may hand out the same Labels map in every sweep, so the Labels
+// of collected points are immutable: consumers must copy before modifying.
 type Collector interface {
 	Collect(now time.Duration) []Point
 }

@@ -52,6 +52,57 @@ func BenchmarkTelemetryIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkAppendRefs is BenchmarkTelemetryIngest's round appended by
+// handle: the series are resolved once with Ref, so the timed loop skips
+// identity hashing and label comparison.
+func BenchmarkAppendRefs(b *testing.B) {
+	db := New(time.Hour)
+	pts := ingestBatch(0)
+	refs := make([]telemetry.SeriesRef, len(pts))
+	vals := make([]float64, len(pts))
+	for i, p := range pts {
+		r, err := db.Ref(p.Name, p.Labels)
+		if err != nil {
+			b.Fatal(err)
+		}
+		refs[i], vals[i] = r, p.Value
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := db.AppendRefs(time.Duration(i)*time.Second, refs, vals); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLatestInto measures the fleet-wide newest-point read every
+// power-loop observe makes, at two fleet sizes: the read sorts its matches
+// by label key, so a super-linear sort shows as a per-series cost that
+// grows from the 1000 row to the 10240 row.
+func BenchmarkLatestInto(b *testing.B) {
+	for _, series := range []int{1000, 10240} {
+		b.Run(fmt.Sprintf("series=%d", series), func(b *testing.B) {
+			db := New(0)
+			for n := 0; n < series; n++ {
+				labels := telemetry.Labels{"node": fmt.Sprintf("n%05d", n), "rack": fmt.Sprintf("r%03d", n/64)}
+				if err := db.Append(telemetry.Point{Name: "node.power.watts", Labels: labels, Value: float64(n)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			buf := db.LatestInto(nil, "node.power.watts", nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = db.LatestInto(buf[:0], "node.power.watts", nil)
+			}
+			if len(buf) != series {
+				b.Fatalf("read %d points, want %d", len(buf), series)
+			}
+		})
+	}
+}
+
 // highCardSetup ingests a 10k-series fleet (one metric, node+rack labels,
 // 8 samples each) into both the sharded DB and the linear-scan reference.
 func highCardSetup(b *testing.B, series int) (*DB, *refDB, telemetry.Labels) {

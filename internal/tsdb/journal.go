@@ -45,27 +45,29 @@ type encBuf struct{ b []byte }
 
 var encScratch = sync.Pool{New: func() interface{} { return new(encBuf) }}
 
-// appendPointEnc appends one point's binary journal encoding to buf:
+// appendSampleEnc appends one accepted sample of s in its binary journal
+// encoding to buf:
 //
 //	uvarint len(name), name,
 //	uvarint len(labels), then per label uvarint len(k), k, uvarint len(v), v,
 //	varint time (ns), 8B little-endian IEEE-754 value.
 //
-// Label order is the map's iteration order — the decoder rebuilds a map, so
-// the order carries no meaning and sorting would cost the hot path an
-// allocation.
-func appendPointEnc(buf []byte, p *telemetry.Point) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(p.Name)))
-	buf = append(buf, p.Name...)
-	buf = binary.AppendUvarint(buf, uint64(len(p.Labels)))
-	for k, v := range p.Labels {
+// The identity comes from the series' stored name and labels, so every
+// ingest path (by point or by handle) writes the same record. Label order is
+// the map's iteration order — the decoder rebuilds a map, so the order
+// carries no meaning and sorting would cost the hot path an allocation.
+func appendSampleEnc(buf []byte, s *memSeries, t time.Duration, v float64) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s.name)))
+	buf = append(buf, s.name...)
+	buf = binary.AppendUvarint(buf, uint64(len(s.labels)))
+	for k, lv := range s.labels {
 		buf = binary.AppendUvarint(buf, uint64(len(k)))
 		buf = append(buf, k...)
-		buf = binary.AppendUvarint(buf, uint64(len(v)))
-		buf = append(buf, v...)
+		buf = binary.AppendUvarint(buf, uint64(len(lv)))
+		buf = append(buf, lv...)
 	}
-	buf = binary.AppendVarint(buf, int64(p.Time))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Value))
+	buf = binary.AppendVarint(buf, int64(t))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	return buf
 }
 
@@ -116,15 +118,34 @@ func decodePointEnc(buf []byte) (telemetry.Point, []byte, error) {
 	return p, buf[8:], nil
 }
 
-// journalLocked encodes and emits one accepted point. The caller holds the
-// owning shard's write lock; wal.Append nests its own mutex inside the shard
-// lock (never the reverse), so the order is deadlock-free.
-func (db *DB) journalLocked(p *telemetry.Point) error {
+// encoder returns pooled encode scratch when a journal is attached, else
+// nil (and the append core then encodes nothing).
+func (db *DB) encoder() *encBuf {
+	if db.journal == nil {
+		return nil
+	}
 	eb := encScratch.Get().(*encBuf)
-	eb.b = appendPointEnc(eb.b[:0], p)
+	eb.b = eb.b[:0]
+	return eb
+}
+
+// emitLocked writes the samples encoded into eb as one WAL record and resets
+// eb. The caller holds the owning shard's write lock; wal.Append nests its
+// own mutex inside the shard lock (never the reverse), so the order is
+// deadlock-free.
+func (db *DB) emitLocked(eb *encBuf) error {
+	if eb == nil || len(eb.b) == 0 {
+		return nil
+	}
 	_, err := db.journal.Append(wal.KindTSDBAppend, eb.b)
-	encScratch.Put(eb)
+	eb.b = eb.b[:0]
 	return err
+}
+
+func (db *DB) releaseEncoder(eb *encBuf) {
+	if eb != nil {
+		encScratch.Put(eb)
+	}
 }
 
 // ApplyWAL applies one wal.KindTSDBAppend record payload (one or more
@@ -161,7 +182,7 @@ func (db *DB) replayLocked(sh *shard, p *telemetry.Point, h uint64) error {
 			return nil // already reflected by the snapshot
 		}
 	}
-	return db.appendLocked(sh, p, h)
+	return db.appendLocked(sh, p, h, nil)
 }
 
 // ReplaySource is the record iterator RestoreFrom consumes; *wal.Reader

@@ -4,6 +4,7 @@ import (
 	"hash/maphash"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"autoloop/internal/telemetry"
@@ -37,6 +38,8 @@ type memSeries struct {
 	// rollups holds the continuous-rollup states attached to this series,
 	// one per registered rule matching the series' metric name.
 	rollups []*seriesRollup
+	// ref is the series' handle: its shard and its slot in shard.series.
+	ref telemetry.SeriesRef
 }
 
 // live returns the retained samples.
@@ -80,12 +83,15 @@ type shard struct {
 	// this map without materializing the canonical label-key string, so
 	// steady-state ingestion does not allocate.
 	byHash map[uint64][]*memSeries
+	// series is the append-only series table SeriesRef slots index. Series
+	// are never deleted, so a slot never changes owner.
+	series []*memSeries
 	// appended counts samples stored via this shard; kept under mu instead
 	// of a DB-global atomic so parallel appenders do not bounce one counter
 	// cache line. Padding rounds the struct to two cache lines so
 	// neighbouring shards in the DB's array never share one.
 	appended uint64
-	_        [9]uint64
+	_        [6]uint64
 }
 
 // lookup resolves a point to its existing series via the identity hash,
@@ -111,6 +117,52 @@ func labelsEqual(a, b telemetry.Labels) bool {
 		}
 	}
 	return true
+}
+
+// A SeriesRef packs the issuing DB's tag (bits 40-63), the series' shard
+// (bits 32-39) and its slot in that shard's series table (bits 0-31).
+const (
+	refTagShift   = 40
+	refShardShift = 32
+	refSlotMask   = 1<<refShardShift - 1
+)
+
+// refBase is a DB's tag, pre-shifted into SeriesRef position.
+type refBase uint64
+
+// refTags numbers DBs so each tags its handles differently. Tags wrap after
+// 2^24 DBs; tag 0 is skipped so the zero SeriesRef is never issued.
+var refTags atomic.Uint64
+
+func newRefBase() refBase {
+	for {
+		if tag := refTags.Add(1) & (1<<(64-refTagShift) - 1); tag != 0 {
+			return refBase(tag << refTagShift)
+		}
+	}
+}
+
+// at returns the handle of slot in shard si.
+func (b refBase) at(si, slot int) telemetry.SeriesRef {
+	return telemetry.SeriesRef(uint64(b) | uint64(si)<<refShardShift | uint64(slot))
+}
+
+// refShard is the shard a handle names, masked into range so a foreign
+// handle still groups somewhere and fails in resolve instead of panicking.
+func refShard(r telemetry.SeriesRef) uint8 {
+	return uint8(uint64(r)>>refShardShift) & (numShards - 1)
+}
+
+// resolve returns the series a handle names, or nil when the handle is not
+// one of this shard's: the zero ref, a slot out of range, or a handle issued
+// by another DB (its tag differs from the stored series' own ref). Callers
+// must hold at least the read lock.
+func (sh *shard) resolve(r telemetry.SeriesRef) *memSeries {
+	slot := uint64(r) & refSlotMask
+	if slot < uint64(len(sh.series)) && sh.series[slot].ref == r {
+		return sh.series[slot]
+	}
+	return nil
 }
 
 // candidates returns the cheapest superset of series in this shard that can
@@ -144,13 +196,15 @@ func (sh *shard) candidates(name string, matcher telemetry.Labels) (fams map[str
 // while the lock is held, so a series racing AddRollup either attaches the
 // new rule at birth or exists by the time the backfill locks this shard —
 // never neither.
-func (sh *shard) create(p *telemetry.Point, h uint64, rules []RollupRule, onCreate func(name string)) *memSeries {
+func (sh *shard) create(p *telemetry.Point, h uint64, ref refBase, rules []RollupRule, onCreate func(name string)) *memSeries {
 	fams := sh.byName[p.Name]
 	if fams == nil {
 		fams = make(map[string]*memSeries)
 		sh.byName[p.Name] = fams
 	}
 	s := &memSeries{name: p.Name, labels: p.Labels.Clone(), key: p.Labels.Key()}
+	s.ref = ref.at(shardIndex(h), len(sh.series))
+	sh.series = append(sh.series, s)
 	fams[s.key] = s
 	sh.byHash[h] = append(sh.byHash[h], s)
 	for k, v := range s.labels {

@@ -3,7 +3,8 @@ package tsdb
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"autoloop/internal/telemetry"
@@ -29,6 +30,8 @@ type seriesSnap struct {
 	Labels  telemetry.Labels   `json:"labels,omitempty"`
 	Samples []telemetry.Sample `json:"samples,omitempty"`
 	Rollups []rollupSnap       `json:"rollups,omitempty"`
+
+	key string // the series' label key, the sort order within a name
 }
 
 // rollupSnap is one seriesRollup's serialized state, keyed by the rule's
@@ -62,7 +65,7 @@ func (db *DB) Snapshot() ([]byte, error) {
 		snap.Appended += sh.appended
 		for name, fams := range sh.byName {
 			for _, s := range fams {
-				ss := seriesSnap{Name: name, Labels: s.labels.Clone()}
+				ss := seriesSnap{Name: name, Labels: s.labels.Clone(), key: s.key}
 				if live := s.live(); len(live) > 0 {
 					ss.Samples = append([]telemetry.Sample(nil), live...)
 				}
@@ -86,12 +89,11 @@ func (db *DB) Snapshot() ([]byte, error) {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(snap.Series, func(a, b int) bool {
-		sa, sb := &snap.Series[a], &snap.Series[b]
-		if sa.Name != sb.Name {
-			return sa.Name < sb.Name
+	slices.SortFunc(snap.Series, func(a, b seriesSnap) int {
+		if c := strings.Compare(a.Name, b.Name); c != 0 {
+			return c
 		}
-		return sa.Labels.Key() < sb.Labels.Key()
+		return strings.Compare(a.key, b.key)
 	})
 	return json.Marshal(&snap)
 }
@@ -123,7 +125,7 @@ func (db *DB) RestoreSnapshot(data []byte) error {
 		}
 		// Create without attaching rules: rollup states come from the
 		// snapshot, not from fresh (empty) rule instances.
-		s := sh.create(&p, h, nil, db.noteName)
+		s := sh.create(&p, h, db.refBase, nil, db.noteName)
 		s.samples = ss.Samples
 		for _, rs := range ss.Rollups {
 			s.rollups = append(s.rollups, &seriesRollup{

@@ -15,6 +15,18 @@
 // binary-searched. Registered RollupRules are maintained incrementally at
 // append time and queried with QueryRollup, staying available beyond the raw
 // samples' retention.
+//
+// Ingest comes in two forms that share one per-series append core (the
+// validation, rollup, retention and WAL-record code). AppendBatch takes
+// Points and resolves each to its series by identity hash on every call; it
+// serves callers whose series are not known in advance (the gateway, the
+// bus, WAL replay). Ref resolves a (name, labels) identity once to a stable
+// telemetry.SeriesRef — the series' shard and its slot in the shard's
+// append-only series table — and AppendRefs then appends by handle with no
+// hashing or label comparison; collectors with a fixed series set (the hw
+// node sweep) use it through telemetry.RefCollector. The store clones labels
+// when it creates a series, but collectors may share one Labels map across
+// sweeps, so Labels handed to the store are treated as immutable.
 package tsdb
 
 import (
@@ -26,7 +38,6 @@ import (
 	"time"
 
 	"autoloop/internal/telemetry"
-	"autoloop/internal/wal"
 )
 
 // DB is an in-memory sharded time-series database. It is safe for concurrent
@@ -52,12 +63,16 @@ type DB struct {
 	// emitted under the owning shard's lock (see journal.go). Set via
 	// Journal before ingestion starts; read on the hot path unsynchronized.
 	journal Journaler
+
+	// refBase tags every SeriesRef this DB issues, so AppendRefs can reject
+	// handles from another DB.
+	refBase refBase
 }
 
 // New returns an empty database that retains samples for the given duration;
 // retention <= 0 keeps all samples forever.
 func New(retention time.Duration) *DB {
-	db := &DB{retention: retention, names: make(map[string]struct{})}
+	db := &DB{retention: retention, names: make(map[string]struct{}), refBase: newRefBase()}
 	for i := range db.shards {
 		db.shards[i].byName = make(map[string]map[string]*memSeries)
 		db.shards[i].postings = make(map[labelPair][]*memSeries)
@@ -86,86 +101,108 @@ func (db *DB) noteName(name string) {
 func (db *DB) Append(p telemetry.Point) error {
 	h := identityOf(&p)
 	sh := &db.shards[shardIndex(h)]
+	eb := db.encoder()
 	sh.mu.Lock()
-	err := db.appendLocked(sh, &p, h)
-	if err == nil && db.journal != nil {
-		// Journal while still holding the shard lock so the per-series
-		// record order in the log equals the apply order.
-		err = db.journalLocked(&p)
+	err := db.appendLocked(sh, &p, h, eb)
+	if jerr := db.emitLocked(eb); err == nil {
+		err = jerr
 	}
 	sh.mu.Unlock()
+	db.releaseEncoder(eb)
 	return err
 }
 
-// appendLocked is one point's append under the owning shard's write lock.
-func (db *DB) appendLocked(sh *shard, p *telemetry.Point, h uint64) error {
+// appendLocked resolves one point to its series, creating it, and appends
+// it under the owning shard's write lock. A rejected point never creates a
+// series.
+func (db *DB) appendLocked(sh *shard, p *telemetry.Point, h uint64, eb *encBuf) error {
 	if p.Name == "" {
 		return fmt.Errorf("tsdb: append with empty metric name")
 	}
-	if math.IsNaN(p.Value) {
-		return fmt.Errorf("tsdb: append NaN for %s%s", p.Name, p.Labels)
-	}
 	s := sh.lookup(h, p)
 	if s == nil {
+		if math.IsNaN(p.Value) {
+			return nanError(p.Name, p.Labels)
+		}
 		// Rules are loaded under the shard lock (an atomic pointer read):
 		// see shard.create for the AddRollup race reasoning.
-		s = sh.create(p, h, db.loadRules(), db.noteName)
+		s = sh.create(p, h, db.refBase, db.loadRules(), db.noteName)
 	}
-	if n := len(s.samples); n > 0 {
-		last := s.samples[n-1].Time
-		if p.Time < last {
-			return fmt.Errorf("tsdb: out-of-order append for %s%s: %v < %v", p.Name, p.Labels, p.Time, last)
+	return db.appendSeriesLocked(sh, s, p.Time, p.Value, eb)
+}
+
+// appendSeriesLocked is the one append core every ingest path ends in: it
+// validates and stores one sample of s under the owning shard's write lock,
+// maintains rollups and retention, and, when eb is non-nil, adds the
+// accepted sample's journal encoding to eb.
+func (db *DB) appendSeriesLocked(sh *shard, s *memSeries, t time.Duration, v float64, eb *encBuf) error {
+	if math.IsNaN(v) {
+		return nanError(s.name, s.labels)
+	}
+	n := len(s.samples)
+	switch {
+	case n > 0 && t < s.samples[n-1].Time:
+		return fmt.Errorf("tsdb: out-of-order append for %s%s: %v < %v", s.name, s.labels, t, s.samples[n-1].Time)
+	case n > 0 && t == s.samples[n-1].Time:
+		s.samples[n-1].Value = v
+		for _, sr := range s.rollups {
+			sr.observe(t, v, true)
 		}
-		if p.Time == last {
-			s.samples[n-1].Value = p.Value
-			for _, sr := range s.rollups {
-				sr.observe(p.Time, p.Value, true)
-			}
-			return nil
+	default:
+		s.samples = append(s.samples, telemetry.Sample{Time: t, Value: v})
+		for _, sr := range s.rollups {
+			sr.observe(t, v, false)
+		}
+		sh.appended++ // under sh.mu, so no shared cache line bounces per append
+		if db.retention > 0 {
+			s.truncateBefore(t - db.retention)
 		}
 	}
-	s.samples = append(s.samples, telemetry.Sample{Time: p.Time, Value: p.Value})
-	for _, sr := range s.rollups {
-		sr.observe(p.Time, p.Value, false)
-	}
-	sh.appended++ // under sh.mu, so no shared cache line bounces per append
-	if db.retention > 0 {
-		s.truncateBefore(p.Time - db.retention)
+	if eb != nil {
+		eb.b = appendSampleEnc(eb.b, s, t, v)
 	}
 	return nil
 }
 
-// batchBuffers is the pooled scratch AppendBatch groups a batch with: the
-// per-point identity hashes and the counting-sorted point order.
+func nanError(name string, labels telemetry.Labels) error {
+	return fmt.Errorf("tsdb: append NaN for %s%s", name, labels)
+}
+
+// batchBuffers is the pooled scratch a batch is grouped by shard with: each
+// entry's shard, and the counting-sorted entry order.
 type batchBuffers struct {
 	hs    []uint64
+	sis   []uint8
 	order []int32
 }
 
 var batchScratch = sync.Pool{New: func() interface{} { return new(batchBuffers) }}
 
-// AppendBatch inserts every point in one grouped pass: a counting sort by
-// shard visits each point exactly once, then each touched shard is locked
-// exactly once and its points appended in original batch order. The
-// earliest-indexed error is returned (but all points are attempted). It
-// implements telemetry.Sink.
-func (db *DB) AppendBatch(pts []telemetry.Point) error {
-	if len(pts) == 0 {
-		return nil
+// getBatchBuffers returns pooled scratch sized for n entries.
+func getBatchBuffers(n int) *batchBuffers {
+	sc := batchScratch.Get().(*batchBuffers)
+	if cap(sc.order) < n {
+		sc.hs = make([]uint64, n)
+		sc.sis = make([]uint8, n)
+		sc.order = make([]int32, n)
 	}
-	scratch := batchScratch.Get().(*batchBuffers)
-	if cap(scratch.hs) < len(pts) {
-		scratch.hs = make([]uint64, len(pts))
-		scratch.order = make([]int32, len(pts))
-	}
-	hs := scratch.hs[:len(pts)]
-	order := scratch.order[:len(pts)]
+	sc.hs, sc.sis, sc.order = sc.hs[:n], sc.sis[:n], sc.order[:n]
+	return sc
+}
+
+// applyGrouped is the shared batch loop of AppendBatch and AppendRefs. A
+// counting sort by shard (sis[i] is entry i's shard) visits each entry once;
+// then each touched shard is locked exactly once and apply runs for its
+// entries in original batch order, followed by one WAL record carrying the
+// shard's accepted samples, emitted before the shard unlocks so per-series
+// log order equals apply order. The earliest-indexed error is returned, but
+// every entry is attempted.
+func (db *DB) applyGrouped(sis []uint8, order []int32, apply func(sh *shard, i int32, eb *encBuf) error) error {
 	var counts [numShards]int32
-	for i := range pts {
-		hs[i] = identityOf(&pts[i])
-		counts[shardIndex(hs[i])]++
+	for _, si := range sis {
+		counts[si]++
 	}
-	// counts -> start offsets; filling order in point order keeps each
+	// counts -> start offsets; filling order in entry order keeps each
 	// shard's slice sorted by original batch index.
 	var offsets [numShards]int32
 	var sum int32
@@ -174,53 +211,120 @@ func (db *DB) AppendBatch(pts []telemetry.Point) error {
 		sum += counts[si]
 	}
 	fill := offsets
-	for i := range pts {
-		si := shardIndex(hs[i])
+	for i, si := range sis {
 		order[fill[si]] = int32(i)
 		fill[si]++
 	}
 	var first error
-	firstAt := int32(len(pts))
+	firstAt := int32(len(sis))
 	var jerr error
-	var eb *encBuf
-	if db.journal != nil {
-		eb = encScratch.Get().(*encBuf)
-	}
+	eb := db.encoder()
 	for si := 0; si < numShards; si++ {
 		if counts[si] == 0 {
 			continue
 		}
 		sh := &db.shards[si]
 		sh.mu.Lock()
-		if eb != nil {
-			eb.b = eb.b[:0]
-		}
 		for _, i := range order[offsets[si] : offsets[si]+counts[si]] {
-			if err := db.appendLocked(sh, &pts[i], hs[i]); err != nil {
-				if i < firstAt {
-					first, firstAt = err, i
-				}
-			} else if eb != nil {
-				eb.b = appendPointEnc(eb.b, &pts[i])
+			if err := apply(sh, i, eb); err != nil && i < firstAt {
+				first, firstAt = err, i
 			}
 		}
-		// One WAL record per touched shard, emitted before the shard
-		// unlocks so per-series log order equals apply order.
-		if eb != nil && len(eb.b) > 0 {
-			if _, err := db.journal.Append(wal.KindTSDBAppend, eb.b); err != nil && jerr == nil {
-				jerr = err
-			}
+		if err := db.emitLocked(eb); err != nil && jerr == nil {
+			jerr = err
 		}
 		sh.mu.Unlock()
 	}
-	if eb != nil {
-		encScratch.Put(eb)
-	}
-	batchScratch.Put(scratch)
+	db.releaseEncoder(eb)
 	if first == nil {
 		first = jerr
 	}
 	return first
+}
+
+// AppendBatch inserts every point in one grouped pass (see applyGrouped):
+// each point is resolved to its series by identity hash, then appended
+// through the same core as AppendRefs. The earliest-indexed error is
+// returned (but all points are attempted). It implements telemetry.Sink.
+// Callers that know their series in advance should resolve them once with
+// Ref and append with AppendRefs instead.
+func (db *DB) AppendBatch(pts []telemetry.Point) error {
+	if len(pts) == 0 {
+		return nil
+	}
+	sc := getBatchBuffers(len(pts))
+	for i := range pts {
+		sc.hs[i] = identityOf(&pts[i])
+		sc.sis[i] = uint8(shardIndex(sc.hs[i]))
+	}
+	hs := sc.hs
+	err := db.applyGrouped(sc.sis, sc.order, func(sh *shard, i int32, eb *encBuf) error {
+		return db.appendLocked(sh, &pts[i], hs[i], eb)
+	})
+	batchScratch.Put(sc)
+	return err
+}
+
+// Ref gets or creates the series (name, labels) and returns its handle, a
+// SeriesRef naming the series' shard and its slot in that shard's
+// append-only series table. Series are never deleted, so the handle stays
+// valid for the DB's lifetime. Unlike a rejected Append, Ref creates the
+// series even before any sample arrives; an empty series counts in
+// NumSeries and Snapshot but matches no query. It implements
+// telemetry.RefSink.
+func (db *DB) Ref(name string, labels telemetry.Labels) (telemetry.SeriesRef, error) {
+	if name == "" {
+		return 0, fmt.Errorf("tsdb: ref with empty metric name")
+	}
+	p := telemetry.Point{Name: name, Labels: labels}
+	h := identityOf(&p)
+	sh := &db.shards[shardIndex(h)]
+	sh.mu.Lock()
+	s := sh.lookup(h, &p)
+	if s == nil {
+		s = sh.create(&p, h, db.refBase, db.loadRules(), db.noteName)
+	}
+	sh.mu.Unlock()
+	return s.ref, nil
+}
+
+// RefError reports a SeriesRef this DB did not issue: the zero ref, or one
+// from another DB.
+type RefError struct {
+	Ref telemetry.SeriesRef
+}
+
+func (e *RefError) Error() string {
+	return fmt.Sprintf("tsdb: unknown series ref %#x", uint64(e.Ref))
+}
+
+// AppendRefs appends vals[i] to the series refs[i] names, all at time t, in
+// one grouped pass: points are grouped by the shard the handle carries, with
+// no hashing or label comparison, and each goes through the same append core
+// (validation, rollups, retention, journal record) as AppendBatch, with the
+// same errors. A handle this DB did not issue yields a *RefError for that
+// point. The earliest-indexed error is returned (but all points are
+// attempted). It implements telemetry.RefSink.
+func (db *DB) AppendRefs(t time.Duration, refs []telemetry.SeriesRef, vals []float64) error {
+	if len(refs) != len(vals) {
+		return fmt.Errorf("tsdb: AppendRefs with %d refs but %d values", len(refs), len(vals))
+	}
+	if len(refs) == 0 {
+		return nil
+	}
+	sc := getBatchBuffers(len(refs))
+	for i, r := range refs {
+		sc.sis[i] = refShard(r)
+	}
+	err := db.applyGrouped(sc.sis, sc.order, func(sh *shard, i int32, eb *encBuf) error {
+		s := sh.resolve(refs[i])
+		if s == nil {
+			return &RefError{Ref: refs[i]}
+		}
+		return db.appendSeriesLocked(sh, s, t, vals[i], eb)
+	})
+	batchScratch.Put(sc)
+	return err
 }
 
 // Appended reports the total number of samples stored since creation

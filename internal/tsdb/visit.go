@@ -1,6 +1,8 @@
 package tsdb
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -27,9 +29,9 @@ type latestItem struct {
 }
 
 // visitScratch is the pooled per-call ordering state of WindowInto and
-// LatestInto. Matching-series counts are small (a fleet of nodes or OSTs,
-// not the whole database), so ordering uses an insertion sort over the
-// scratch rather than allocation-heavy sort.Slice closures.
+// LatestInto. Both order by the series' precomputed label key with an
+// O(n log n) sort that allocates nothing: a metric can match every node of
+// a 10k-node fleet.
 type visitScratch struct {
 	chunks []valueChunk
 	vals   []float64
@@ -84,18 +86,9 @@ func (db *DB) WindowInto(buf []float64, name string, matcher telemetry.Labels, f
 		// Restore label-key order: stage the appended region, reorder the
 		// chunk index, and copy the chunks back in key order.
 		sc.vals = append(sc.vals[:0], buf[start:]...)
-		ch := sc.chunks
-		for i := 1; i < len(ch); i++ {
-			c := ch[i]
-			j := i - 1
-			for j >= 0 && ch[j].key > c.key {
-				ch[j+1] = ch[j]
-				j--
-			}
-			ch[j+1] = c
-		}
+		slices.SortFunc(sc.chunks, func(a, b valueChunk) int { return strings.Compare(a.key, b.key) })
 		out := buf[:start]
-		for _, c := range ch {
+		for _, c := range sc.chunks {
 			out = append(out, sc.vals[c.off-start:c.off-start+c.n]...)
 		}
 		buf = out
@@ -127,15 +120,7 @@ func (db *DB) LatestInto(buf []telemetry.Point, name string, matcher telemetry.L
 		})
 	})
 	its := sc.items
-	for i := 1; i < len(its); i++ {
-		it := its[i]
-		j := i - 1
-		for j >= 0 && its[j].key > it.key {
-			its[j+1] = its[j]
-			j--
-		}
-		its[j+1] = it
-	}
+	slices.SortFunc(its, func(a, b latestItem) int { return strings.Compare(a.key, b.key) })
 	for i := range its {
 		buf = append(buf, its[i].p)
 	}
