@@ -71,6 +71,10 @@ run '^BenchmarkLifecycleCheck$' 200000x ./internal/core
 # latency on a shared CI box is too noisy to gate; run it locally.
 run '^BenchmarkWALAppend$/^sync=(none|batch)$' 20000x ./internal/wal
 run '^BenchmarkRecovery$' 2x ./internal/wal
+# The tsdb half of recovery: a journal shaped like a served facility's
+# (10,368 series x 220 sweeps, ~2.28M points) applied into a fresh store.
+# BenchmarkRecovery above reads opaque payloads, so it covers framing only.
+run '^BenchmarkApplyWAL$' 2x ./internal/tsdb
 # HTTP gateway: one /v1/query through the full handler (auth, decode,
 # singleflight, zero-copy QueryVisit encode), and one bus publish fanned
 # out to 1000 connected SSE subscribers.

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"sync"
@@ -54,8 +55,9 @@ var encScratch = sync.Pool{New: func() interface{} { return new(encBuf) }}
 //
 // The identity comes from the series' stored name and labels, so every
 // ingest path (by point or by handle) writes the same record. Label order is
-// the map's iteration order — the decoder rebuilds a map, so the order
-// carries no meaning and sorting would cost the hot path an allocation.
+// the map's iteration order: replay matches labels in any order, so the
+// order carries no meaning and sorting would cost the hot path an
+// allocation.
 func appendSampleEnc(buf []byte, s *memSeries, t time.Duration, v float64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s.name)))
 	buf = append(buf, s.name...)
@@ -71,16 +73,37 @@ func appendSampleEnc(buf []byte, s *memSeries, t time.Duration, v float64) []byt
 	return buf
 }
 
-// decodeString reads one uvarint-prefixed string.
-func decodeString(buf []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > uint64(len(buf)-sz) {
-		return "", nil, fmt.Errorf("tsdb: journal decode: truncated string")
-	}
-	return string(buf[sz : sz+int(n)]), buf[sz+int(n):], nil
+// DecodeError reports a malformed journal record. Replay stops at the first
+// one: the log holds only accepted appends, so a record that does not decode
+// is damage, not data.
+type DecodeError struct {
+	Reason string
 }
 
-// decodePointEnc decodes one point, returning the remaining buffer.
+func (e *DecodeError) Error() string { return "tsdb: journal decode: " + e.Reason }
+
+// scanString reads one uvarint-prefixed string in place.
+func scanString(buf []byte) (s, rest []byte, ok bool) {
+	n, sz := binary.Uvarint(buf)
+	if sz <= 0 || n > uint64(len(buf)-sz) {
+		return nil, nil, false
+	}
+	return buf[sz : sz+int(n)], buf[sz+int(n):], true
+}
+
+// decodeString reads one uvarint-prefixed string.
+func decodeString(buf []byte) (string, []byte, error) {
+	s, rest, ok := scanString(buf)
+	if !ok {
+		return "", nil, &DecodeError{Reason: "truncated string"}
+	}
+	return string(s), rest, nil
+}
+
+// decodePointEnc decodes one point, returning the remaining buffer. The
+// label count is read from the record, so it is checked against the bytes
+// left before anything is sized by it: each label takes at least its two
+// length bytes.
 func decodePointEnc(buf []byte) (telemetry.Point, []byte, error) {
 	var p telemetry.Point
 	var err error
@@ -89,9 +112,12 @@ func decodePointEnc(buf []byte) (telemetry.Point, []byte, error) {
 	}
 	nl, sz := binary.Uvarint(buf)
 	if sz <= 0 {
-		return p, nil, fmt.Errorf("tsdb: journal decode: truncated label count")
+		return p, nil, &DecodeError{Reason: "truncated label count"}
 	}
 	buf = buf[sz:]
+	if nl > uint64(len(buf)/2) {
+		return p, nil, &DecodeError{Reason: fmt.Sprintf("label count %d exceeds the %d bytes left", nl, len(buf))}
+	}
 	if nl > 0 {
 		p.Labels = make(telemetry.Labels, nl)
 		for i := uint64(0); i < nl; i++ {
@@ -107,15 +133,77 @@ func decodePointEnc(buf []byte) (telemetry.Point, []byte, error) {
 	}
 	t, sz := binary.Varint(buf)
 	if sz <= 0 {
-		return p, nil, fmt.Errorf("tsdb: journal decode: truncated time")
+		return p, nil, &DecodeError{Reason: "truncated time"}
 	}
 	buf = buf[sz:]
 	if len(buf) < 8 {
-		return p, nil, fmt.Errorf("tsdb: journal decode: truncated value")
+		return p, nil, &DecodeError{Reason: "truncated value"}
 	}
 	p.Time = time.Duration(t)
 	p.Value = math.Float64frombits(binary.LittleEndian.Uint64(buf))
 	return p, buf[8:], nil
+}
+
+// maxScanLabels is the widest label set the in-place scan resolves; a wider
+// record takes the decoding path. Telemetry identities carry a handful of
+// labels, so replay never needs more.
+const maxScanLabels = 8
+
+// encPoint is one journaled point scanned in place: name and label pairs
+// alias the record bytes, and h is the identity hash identityOf would
+// compute for the decoded point.
+type encPoint struct {
+	name  []byte
+	pairs [maxScanLabels][2][]byte
+	nl    int
+	h     uint64
+	t     time.Duration
+	v     float64
+}
+
+// scanPointEnc reads one encoded point into ep without allocating and
+// returns the remaining buffer. The identity hash is identityOf's, computed
+// from the bytes: maphash.Bytes and maphash.String agree on equal content,
+// and the XOR over label pairs ignores their order. ok is false for any
+// record the scan does not resolve — malformed, wider than maxScanLabels,
+// or repeating a label key (the decoded map keeps only the last value, so
+// the encoded pairs are not the identity) — and the caller then takes the
+// decoding path, which reports malformed input.
+func scanPointEnc(buf []byte, ep *encPoint) (rest []byte, ok bool) {
+	if ep.name, buf, ok = scanString(buf); !ok {
+		return nil, false
+	}
+	nl, sz := binary.Uvarint(buf)
+	if sz <= 0 || nl > maxScanLabels {
+		return nil, false
+	}
+	buf = buf[sz:]
+	ep.nl = int(nl)
+	var lh uint64
+	for i := 0; i < ep.nl; i++ {
+		var k, v []byte
+		if k, buf, ok = scanString(buf); !ok {
+			return nil, false
+		}
+		if v, buf, ok = scanString(buf); !ok {
+			return nil, false
+		}
+		for _, kv := range ep.pairs[:i] {
+			if string(kv[0]) == string(k) {
+				return nil, false
+			}
+		}
+		ep.pairs[i] = [2][]byte{k, v}
+		lh ^= mix(maphash.Bytes(hashSeed, k)) ^ maphash.Bytes(hashSeed, v)
+	}
+	ep.h = mix(maphash.Bytes(hashSeed, ep.name) ^ lh)
+	t, sz := binary.Varint(buf)
+	if sz <= 0 || len(buf)-sz < 8 {
+		return nil, false
+	}
+	ep.t = time.Duration(t)
+	ep.v = math.Float64frombits(binary.LittleEndian.Uint64(buf[sz:]))
+	return buf[sz+8:], true
 }
 
 // encoder returns pooled encode scratch when a journal is attached, else
@@ -155,17 +243,19 @@ func (db *DB) releaseEncoder(eb *encBuf) {
 // WAL tail being replayed may overlap records the snapshot already
 // reflects, and per-series log order equals apply order, which makes
 // re-application a no-op.
+//
+// Each series is resolved once: a point whose series exists is matched
+// straight from the record bytes (scanPointEnc, shard.lookupEnc) in any
+// label order, with no allocation. Only the first point of a series, or a
+// record the scan cannot resolve, is decoded into a telemetry.Point, which
+// creates the series or reports the malformed input.
 func (db *DB) ApplyWAL(payload []byte) error {
+	var ep encPoint
 	for len(payload) > 0 {
-		p, rest, err := decodePointEnc(payload)
-		if err != nil {
-			return err
+		rest, ok, err := db.replayScanned(payload, &ep)
+		if !ok {
+			rest, err = db.replayDecoded(payload)
 		}
-		h := identityOf(&p)
-		sh := &db.shards[shardIndex(h)]
-		sh.mu.Lock()
-		err = db.replayLocked(sh, &p, h)
-		sh.mu.Unlock()
 		if err != nil {
 			return err
 		}
@@ -174,15 +264,51 @@ func (db *DB) ApplyWAL(payload []byte) error {
 	return nil
 }
 
-// replayLocked applies one journaled point under the shard lock, skipping
-// points the snapshot this replay tails already covers.
-func (db *DB) replayLocked(sh *shard, p *telemetry.Point, h uint64) error {
-	if s := sh.lookup(h, p); s != nil {
-		if n := len(s.samples); n > 0 && p.Time < s.samples[n-1].Time {
-			return nil // already reflected by the snapshot
-		}
+// replayScanned applies the next point of payload if the in-place scan
+// resolves it to an existing series; ok is false when it does not, and
+// nothing was applied.
+func (db *DB) replayScanned(payload []byte, ep *encPoint) (rest []byte, ok bool, err error) {
+	if rest, ok = scanPointEnc(payload, ep); !ok {
+		return nil, false, nil
 	}
-	return db.appendLocked(sh, p, h, nil)
+	sh := &db.shards[shardIndex(ep.h)]
+	sh.mu.Lock()
+	if s := sh.lookupEnc(ep); s != nil {
+		err = db.replayLocked(sh, s, ep.t, ep.v)
+	} else {
+		ok = false
+	}
+	sh.mu.Unlock()
+	return rest, ok, err
+}
+
+// replayDecoded decodes the next point of payload, resolves it to its
+// series with one lookup — creating the series on first sight — and
+// applies it.
+func (db *DB) replayDecoded(payload []byte) ([]byte, error) {
+	p, rest, err := decodePointEnc(payload)
+	if err != nil {
+		return nil, err
+	}
+	h := identityOf(&p)
+	sh := &db.shards[shardIndex(h)]
+	sh.mu.Lock()
+	s, err := db.seriesLocked(sh, &p, h)
+	if err == nil {
+		err = db.replayLocked(sh, s, p.Time, p.Value)
+	}
+	sh.mu.Unlock()
+	return rest, err
+}
+
+// replayLocked applies one journaled sample of s under the shard lock
+// through the shared append core, without journaling it, skipping samples
+// the snapshot this replay tails already covers.
+func (db *DB) replayLocked(sh *shard, s *memSeries, t time.Duration, v float64) error {
+	if n := len(s.samples); n > 0 && t < s.samples[n-1].Time {
+		return nil // already reflected by the snapshot
+	}
+	return db.appendSeriesLocked(sh, s, t, v, nil)
 }
 
 // ReplaySource is the record iterator RestoreFrom consumes; *wal.Reader

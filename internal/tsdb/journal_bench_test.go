@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -49,4 +50,109 @@ func BenchmarkJournalOverhead(b *testing.B) {
 			}
 		})
 	}
+}
+
+// memJournal keeps every record payload in memory, in append order.
+type memJournal struct {
+	mu   sync.Mutex
+	recs [][]byte
+}
+
+func (j *memJournal) Append(kind uint8, payload []byte) (uint64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.recs = append(j.recs, append([]byte(nil), payload...))
+	return uint64(len(j.recs)), nil
+}
+
+// Shape of the replayed journal: a facility's hw and pfs sweeps, as modad
+// journals them.
+const (
+	replayNodes    = 2048
+	replayRackSize = 64
+	replayOSTs     = 32
+	replayBatches  = 220
+	replayStep     = 30 * time.Second
+	replayRetain   = 2 * time.Hour
+)
+
+// replayRules are modad's rollups on the replayed metrics.
+var replayRules = []RollupRule{
+	{Metric: "node.temp.celsius", Step: 5 * time.Minute, Agg: AggMean, Retention: 24 * time.Hour},
+	{Metric: "pfs.ost.lat_ms", Step: 5 * time.Minute, Agg: AggP95, Retention: 24 * time.Hour},
+}
+
+// newReplayDB returns an empty store with replayRules registered.
+func newReplayDB(tb testing.TB) *DB {
+	db := New(replayRetain)
+	for _, rule := range replayRules {
+		if err := db.AddRollup(rule); err != nil {
+			tb.Fatalf("AddRollup: %v", err)
+		}
+	}
+	return db
+}
+
+// replayJournal is built once per process: replayBatches sweeps of 2048
+// nodes x 5 metrics labelled node and rack, plus 32 OSTs x 4 metrics
+// labelled ost — 10,368 series — journaled through AppendBatch.
+var replayJournal = sync.OnceValues(func() (*memJournal, error) {
+	nodeMetrics := []string{"node.cpu.util", "node.power.watts", "node.temp.celsius", "node.mem.used_gb", "node.cores.used"}
+	ostMetrics := []string{"pfs.ost.mbps", "pfs.ost.queue", "pfs.ost.busy_frac", "pfs.ost.lat_ms"}
+	var pts []telemetry.Point
+	for n := 0; n < replayNodes; n++ {
+		l := telemetry.Labels{"node": fmt.Sprintf("node%04d", n), "rack": fmt.Sprintf("r%02d", n/replayRackSize)}
+		for _, m := range nodeMetrics {
+			pts = append(pts, telemetry.Point{Name: m, Labels: l})
+		}
+	}
+	for o := 0; o < replayOSTs; o++ {
+		l := telemetry.Labels{"ost": fmt.Sprintf("ost%02d", o)}
+		for _, m := range ostMetrics {
+			pts = append(pts, telemetry.Point{Name: m, Labels: l})
+		}
+	}
+	db := New(replayRetain)
+	for _, rule := range replayRules {
+		if err := db.AddRollup(rule); err != nil {
+			return nil, err
+		}
+	}
+	j := &memJournal{}
+	db.Journal(j)
+	for b := 0; b < replayBatches; b++ {
+		for i := range pts {
+			pts[i].Time = time.Duration(b+1) * replayStep
+			pts[i].Value = float64((b*31+i*7)%997) / 10
+		}
+		if err := db.AppendBatch(pts); err != nil {
+			return nil, err
+		}
+	}
+	return j, nil
+})
+
+// BenchmarkApplyWAL replays a journal shaped like a served facility's —
+// replayBatches sweeps of 10,368 series, ~2.28M points — into a fresh
+// store per iteration: the tsdb half of recovery, decoding each record and
+// resolving its points to series. BenchmarkRecovery (internal/wal) covers
+// the other half, reading and checking the frames.
+func BenchmarkApplyWAL(b *testing.B) {
+	j, err := replayJournal()
+	if err != nil {
+		b.Fatalf("build journal: %v", err)
+	}
+	var points int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db := newReplayDB(b)
+		for _, rec := range j.recs {
+			if err := db.ApplyWAL(rec); err != nil {
+				b.Fatalf("ApplyWAL: %v", err)
+			}
+		}
+		points = int(db.Appended())
+	}
+	b.ReportMetric(float64(points), "points/op")
 }

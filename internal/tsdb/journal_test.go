@@ -1,9 +1,12 @@
 package tsdb
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -227,7 +230,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 // TestSnapshotThenTailReplay is the full recovery sequence: restore a
 // snapshot covering seq S, then replay the WAL tail from S+1 — including the
-// overlap case where records <= S are re-applied and must be skipped.
+// overlap case where records <= S are re-applied and must be skipped. The
+// replayed series exist from RestoreSnapshot, so their points resolve from
+// the record bytes: a two-label series checks that the snapshot's labels
+// match the journaled ones, and an equal-timestamp overwrite of the
+// snapshot's tail must replace the restored value.
 func TestSnapshotThenTailReplay(t *testing.T) {
 	w, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncNone})
 	if err != nil {
@@ -237,10 +244,18 @@ func TestSnapshotThenTailReplay(t *testing.T) {
 	db1 := New(0)
 	db1.AddRollup(rule)
 	db1.Journal(w)
-	for i := 0; i < 50; i++ {
-		if err := db1.Append(jpt("m", "n01", time.Duration(i)*time.Second, float64(i))); err != nil {
+	wide := telemetry.Labels{"node": "n02", "rack": "r1"}
+	appendAt := func(i int, v float64) {
+		at := time.Duration(i) * time.Second
+		if err := db1.Append(jpt("m", "n01", at, v)); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
+		if err := db1.Append(telemetry.Point{Name: "m", Labels: wide, Time: at, Value: -v}); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		appendAt(i, float64(i))
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
@@ -250,10 +265,9 @@ func TestSnapshotThenTailReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
+	appendAt(49, 999) // overwrites the tail the snapshot holds
 	for i := 50; i < 80; i++ {
-		if err := db1.Append(jpt("m", "n01", time.Duration(i)*time.Second, float64(i))); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
+		appendAt(i, float64(i))
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
@@ -286,7 +300,152 @@ func TestSnapshotThenTailReplay(t *testing.T) {
 	if got, wantQ := full.Query("m", nil, 0, 1<<62), db1.Query("m", nil, 0, 1<<62); !reflect.DeepEqual(got, wantQ) {
 		t.Fatalf("overlap replay diverges: %v vs %v", got, wantQ)
 	}
+	if v, _ := full.LatestValue("m", wide); v != -79 {
+		t.Fatalf("overlap replay tail %v, want -79", v)
+	}
+	if ss := full.Query("m", wide, 49*time.Second, 49*time.Second); len(ss) != 1 || ss[0].Samples[0].Value != -999 {
+		t.Fatalf("equal-timestamp overwrite of the restored tail lost: %v", ss)
+	}
 	w.Close()
+}
+
+// appendOrdered appends one point in the journal encoding with its labels
+// in the given order: the writer ranges over the label map, so a log holds
+// one series' labels in any order.
+func appendOrdered(buf []byte, name string, labels [][2]string, at time.Duration, v float64) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(name)))
+	buf = append(buf, name...)
+	buf = binary.AppendUvarint(buf, uint64(len(labels)))
+	for _, kv := range labels {
+		for _, s := range kv {
+			buf = binary.AppendUvarint(buf, uint64(len(s)))
+			buf = append(buf, s...)
+		}
+	}
+	buf = binary.AppendVarint(buf, int64(at))
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+}
+
+// TestApplyWALLabelOrder replays one series journaled with its labels in
+// both orders, beside a second series and a label-free one, and requires
+// the same series set and snapshot bytes as the same points appended with
+// AppendBatch.
+func TestApplyWALLabelOrder(t *testing.T) {
+	orders := [][][2]string{
+		{{"node", "n01"}, {"rack", "r1"}},
+		{{"rack", "r1"}, {"node", "n01"}},
+	}
+	rule := RollupRule{Metric: "m", Step: 10 * time.Second, Agg: AggMean}
+	replayed, built := New(time.Minute), New(time.Minute)
+	for _, db := range []*DB{replayed, built} {
+		if err := db.AddRollup(rule); err != nil {
+			t.Fatalf("AddRollup: %v", err)
+		}
+	}
+	var rec []byte
+	var pts []telemetry.Point
+	for i := 0; i < 40; i++ {
+		at, v := time.Duration(i)*time.Second, float64(i%9)
+		rec = appendOrdered(rec, "m", orders[i%2], at, v)
+		rec = appendOrdered(rec, "m", [][2]string{{"node", "n02"}}, at, -v)
+		rec = appendOrdered(rec, "facility.pue", nil, at, 1+v/100)
+		pts = append(pts,
+			telemetry.Point{Name: "m", Labels: telemetry.Labels{"node": "n01", "rack": "r1"}, Time: at, Value: v},
+			telemetry.Point{Name: "m", Labels: telemetry.Labels{"node": "n02"}, Time: at, Value: -v},
+			telemetry.Point{Name: "facility.pue", Time: at, Value: 1 + v/100})
+		if i%4 == 3 { // an equal-timestamp overwrite, in the other order
+			rec = appendOrdered(rec, "m", orders[(i+1)%2], at, 100+v)
+			pts = append(pts, telemetry.Point{Name: "m", Labels: telemetry.Labels{"node": "n01", "rack": "r1"}, Time: at, Value: 100 + v})
+		}
+	}
+	if err := replayed.ApplyWAL(rec); err != nil {
+		t.Fatalf("ApplyWAL: %v", err)
+	}
+	if err := built.AppendBatch(pts); err != nil {
+		t.Fatalf("AppendBatch: %v", err)
+	}
+	if n := replayed.NumSeries(); n != 3 {
+		t.Fatalf("replay made %d series, want 3", n)
+	}
+	a, err := replayed.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := built.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatalf("replayed snapshot differs:\n wal:   %s\n batch: %s", a, b)
+	}
+}
+
+// TestApplyWALAllocs gates the replay hot path: once every series of a
+// record exists — appended, or rebuilt by RestoreSnapshot — applying it
+// allocates nothing.
+func TestApplyWALAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate skipped under the race detector")
+	}
+	rule := RollupRule{Metric: "node.temp.celsius", Step: time.Minute, Agg: AggP95}
+	var rec []byte
+	appended := New(time.Hour)
+	if err := appended.AddRollup(rule); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 16; n++ {
+		node, rack := string(rune('a'+n)), string(rune('0'+n/4))
+		for _, name := range []string{"node.temp.celsius", "node.power.watts"} {
+			if err := appended.Append(telemetry.Point{Name: name, Labels: telemetry.Labels{"node": node, "rack": rack}, Time: time.Second, Value: 1}); err != nil {
+				t.Fatal(err)
+			}
+			rec = appendOrdered(rec, name, [][2]string{{"rack", rack}, {"node", node}}, time.Second, float64(n))
+		}
+	}
+	snap, err := appended.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := New(time.Hour)
+	if err := restored.AddRollup(rule); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	for name, db := range map[string]*DB{"appended": appended, "restored": restored} {
+		apply := func() {
+			if err := db.ApplyWAL(rec); err != nil {
+				t.Fatalf("ApplyWAL: %v", err)
+			}
+		}
+		apply()
+		if allocs := testing.AllocsPerRun(200, apply); allocs != 0 {
+			t.Errorf("%s: ApplyWAL of 32 existing-series points allocates %.1f/op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestApplyWALLabelCountBounded replays tiny records claiming huge label
+// counts: each must fail as a *DecodeError without allocating in proportion
+// to the claimed count.
+func TestApplyWALLabelCountBounded(t *testing.T) {
+	for _, nl := range []uint64{1 << 20, 1 << 24, 1<<63 + 5} {
+		rec := appendOrdered(nil, "m", nil, 0, 0)[:2] // name "m"
+		rec = binary.AppendUvarint(rec, nl)
+		db := New(0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := db.ApplyWAL(rec)
+		runtime.ReadMemStats(&after)
+		var de *DecodeError
+		if !errors.As(err, &de) {
+			t.Fatalf("label count %d: error %v, want a *DecodeError", nl, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("label count %d: a %d-byte record allocated %d bytes", nl, len(rec), grew)
+		}
+	}
 }
 
 // TestJournaledAppendAllocs gates the journaled append hot path: attaching a

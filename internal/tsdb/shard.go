@@ -45,14 +45,15 @@ type memSeries struct {
 // live returns the retained samples.
 func (s *memSeries) live() []telemetry.Sample { return s.samples[s.head:] }
 
-// truncateBefore drops samples strictly older than cutoff.
+// truncateBefore drops samples strictly older than cutoff. It runs on every
+// append, and until the window fills nothing has expired, so the oldest
+// sample is checked before searching.
 func (s *memSeries) truncateBefore(cutoff time.Duration) {
 	live := s.live()
-	i := sort.Search(len(live), func(i int) bool { return live[i].Time >= cutoff })
-	if i == 0 {
+	if len(live) == 0 || live[0].Time >= cutoff {
 		return
 	}
-	s.head += i
+	s.head += sort.Search(len(live), func(i int) bool { return live[i].Time >= cutoff })
 	if s.head > len(s.samples)-s.head {
 		n := copy(s.samples, s.samples[s.head:])
 		s.samples = s.samples[:n]
@@ -102,6 +103,28 @@ func (sh *shard) lookup(h uint64, p *telemetry.Point) *memSeries {
 		if s.name == p.Name && labelsEqual(s.labels, p.Labels) {
 			return s
 		}
+	}
+	return nil
+}
+
+// lookupEnc is lookup for a point scanned in place from a journal record:
+// the record's name and label pairs are compared with the stored series by
+// string-conversion probes, which do not allocate. The scan guarantees
+// distinct keys, so equal counts and every pair found mean equal label
+// sets, whatever the record's label order. Callers must hold at least the
+// read lock.
+func (sh *shard) lookupEnc(ep *encPoint) *memSeries {
+next:
+	for _, s := range sh.byHash[ep.h] {
+		if s.name != string(ep.name) || len(s.labels) != ep.nl {
+			continue
+		}
+		for _, kv := range ep.pairs[:ep.nl] {
+			if v, ok := s.labels[string(kv[0])]; !ok || v != string(kv[1]) {
+				continue next
+			}
+		}
+		return s
 	}
 	return nil
 }
@@ -230,7 +253,9 @@ var hashSeed = maphash.MakeSeed()
 // accelerated string hash. The label part is an order-independent
 // (XOR-combined) mix so the map's iteration order never matters and no
 // canonical key string has to be allocated; collisions are harmless because
-// lookups verify name and labels.
+// lookups verify name and labels. scanPointEnc computes the same hash from
+// journal record bytes and must change with it (TestApplyWALAllocs fails
+// when the two disagree: every replayed point would take the decoding path).
 func identityOf(p *telemetry.Point) uint64 {
 	h := maphash.String(hashSeed, p.Name)
 	var lh uint64

@@ -20,13 +20,15 @@
 // validation, rollup, retention and WAL-record code). AppendBatch takes
 // Points and resolves each to its series by identity hash on every call; it
 // serves callers whose series are not known in advance (the gateway, the
-// bus, WAL replay). Ref resolves a (name, labels) identity once to a stable
-// telemetry.SeriesRef — the series' shard and its slot in the shard's
-// append-only series table — and AppendRefs then appends by handle with no
-// hashing or label comparison; collectors with a fixed series set (the hw
-// node sweep) use it through telemetry.RefCollector. The store clones labels
-// when it creates a series, but collectors may share one Labels map across
-// sweeps, so Labels handed to the store are treated as immutable.
+// bus). WAL replay (ApplyWAL) computes the same identity hash straight from
+// the record bytes and decodes a point only to create its series. Ref
+// resolves a (name, labels) identity once to a stable telemetry.SeriesRef —
+// the series' shard and its slot in the shard's append-only series table —
+// and AppendRefs then appends by handle with no hashing or label
+// comparison; collectors with a fixed series set (the hw node sweep) use it
+// through telemetry.RefCollector. The store clones labels when it creates a
+// series, but collectors may share one Labels map across sweeps, so Labels
+// handed to the store are treated as immutable.
 package tsdb
 
 import (
@@ -116,19 +118,30 @@ func (db *DB) Append(p telemetry.Point) error {
 // it under the owning shard's write lock. A rejected point never creates a
 // series.
 func (db *DB) appendLocked(sh *shard, p *telemetry.Point, h uint64, eb *encBuf) error {
+	s, err := db.seriesLocked(sh, p, h)
+	if err != nil {
+		return err
+	}
+	return db.appendSeriesLocked(sh, s, p.Time, p.Value, eb)
+}
+
+// seriesLocked resolves p to its series under the owning shard's write
+// lock, creating the series unless p would be rejected (an empty name, or a
+// NaN that would be the series' first sample).
+func (db *DB) seriesLocked(sh *shard, p *telemetry.Point, h uint64) (*memSeries, error) {
 	if p.Name == "" {
-		return fmt.Errorf("tsdb: append with empty metric name")
+		return nil, fmt.Errorf("tsdb: append with empty metric name")
 	}
 	s := sh.lookup(h, p)
 	if s == nil {
 		if math.IsNaN(p.Value) {
-			return nanError(p.Name, p.Labels)
+			return nil, nanError(p.Name, p.Labels)
 		}
 		// Rules are loaded under the shard lock (an atomic pointer read):
 		// see shard.create for the AddRollup race reasoning.
 		s = sh.create(p, h, db.refBase, db.loadRules(), db.noteName)
 	}
-	return db.appendSeriesLocked(sh, s, p.Time, p.Value, eb)
+	return s, nil
 }
 
 // appendSeriesLocked is the one append core every ingest path ends in: it
