@@ -21,18 +21,13 @@ package autoloop
 import (
 	"time"
 
-	"autoloop/internal/bus"
 	"autoloop/internal/cases"
-	"autoloop/internal/chaos"
 	"autoloop/internal/control"
 	"autoloop/internal/core"
 	"autoloop/internal/experiments"
 	"autoloop/internal/fleet"
-	"autoloop/internal/gateway"
 	"autoloop/internal/knowledge"
-	"autoloop/internal/scenario"
 	"autoloop/internal/sim"
-	"autoloop/internal/wal"
 )
 
 // Version identifies the reproduction release.
@@ -82,82 +77,6 @@ type (
 	// HumanModel models the simulated approver for human-in-the-loop mode.
 	HumanModel = core.HumanModel
 )
-
-// Durability vocabulary (see internal/wal): stateful layers journal through
-// a segmented write-ahead log and checkpoint via atomic snapshots, giving
-// the daemon crash recovery (cmd/modad -wal-dir).
-type (
-	// WAL is the append-only segmented write-ahead log.
-	WAL = wal.WAL
-	// WALOptions tunes sync policy, group-commit interval, and segment size.
-	WALOptions = wal.Options
-	// SyncPolicy selects when appends reach stable storage.
-	SyncPolicy = wal.SyncPolicy
-	// WALRecord is one replayed log record.
-	WALRecord = wal.Record
-	// CorruptError is the typed error surfaced for damaged log data.
-	CorruptError = wal.CorruptError
-	// ControlSnapshot is the control plane's serialized state.
-	ControlSnapshot = control.ServiceSnap
-)
-
-// WAL sync policies and record-kind namespace.
-const (
-	SyncBatch  = wal.SyncBatch
-	SyncAlways = wal.SyncAlways
-	SyncNone   = wal.SyncNone
-
-	KindTSDBAppend  = wal.KindTSDBAppend
-	KindBusEnvelope = wal.KindBusEnvelope
-	KindKnowledgeOp = wal.KindKnowledgeOp
-)
-
-// OpenWAL opens (or creates) a write-ahead log in dir, repairing any torn
-// tail left by a crash.
-func OpenWAL(dir string, opts WALOptions) (*WAL, error) { return wal.Open(dir, opts) }
-
-// ParseSyncPolicy parses "batch", "always", or "none".
-func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(s) }
-
-// WriteSnapshot atomically writes a named, CRC-guarded snapshot covering the
-// WAL up to seq; LatestSnapshot returns the newest valid one.
-func WriteSnapshot(dir, name string, seq uint64, payload []byte) error {
-	return wal.WriteSnapshot(dir, name, seq, payload)
-}
-
-// LatestSnapshot returns the newest valid snapshot payload for name and the
-// WAL sequence it covers; ok is false when none exists.
-func LatestSnapshot(dir, name string) (payload []byte, seq uint64, ok bool, err error) {
-	return wal.LatestSnapshot(dir, name)
-}
-
-// HTTP serving vocabulary (see internal/gateway): the /v1 query, control,
-// and SSE streaming surface served by cmd/modad -http.
-type (
-	// Gateway serves /v1/query, /v1/control/<op>, /v1/stream (SSE),
-	// /healthz, and /metrics over plain net/http.
-	Gateway = gateway.Gateway
-	// GatewayOptions wires the gateway to its subsystems and bearer tokens.
-	GatewayOptions = gateway.Options
-	// GatewayStats is a snapshot of the gateway's own counters.
-	GatewayStats = gateway.Stats
-	// StreamHub fans bus envelopes out to SSE subscribers with bounded
-	// per-client outboxes.
-	StreamHub = gateway.Hub
-	// Role is an authenticated HTTP caller's capability level.
-	Role = gateway.Role
-)
-
-// HTTP gateway roles.
-const (
-	RoleNone     = gateway.RoleNone
-	RoleRead     = gateway.RoleRead
-	RoleOperator = gateway.RoleOperator
-)
-
-// NewGateway builds an HTTP gateway over the given subsystems; serve it
-// with Gateway.Serve or mount Gateway.Handler on an existing server.
-func NewGateway(opts GatewayOptions) *Gateway { return gateway.New(opts) }
 
 // Operating modes (§IV).
 const (
@@ -210,100 +129,3 @@ func RunExperiment(id string, seed int64, quick bool) (*Result, error) {
 
 // ExperimentIDs lists every reproduced figure/claim experiment.
 func ExperimentIDs() []string { return experiments.IDs() }
-
-// Resilience vocabulary (see internal/chaos, internal/bus, internal/wal):
-// deterministic fault injection for tests, and the production hardening it
-// exercises — jittered redial backoff behind a circuit breaker, and typed
-// retryable-vs-fatal storage faults.
-type (
-	// Backoff is a capped exponential redial schedule with full jitter.
-	Backoff = chaos.Backoff
-	// Breaker is a consecutive-failure circuit breaker with a half-open
-	// probe after its cooldown.
-	Breaker = chaos.Breaker
-	// FaultInjector makes seeded per-frame fault decisions (drop, dup,
-	// reorder, partition, reset, latency) for chaos conns and proxies.
-	FaultInjector = chaos.Injector
-	// Faults declares a network fault schedule for a FaultInjector.
-	Faults = chaos.Faults
-	// ChaosProxy is a frame-aware TCP relay that applies injected faults
-	// between a dialer and its target.
-	ChaosProxy = chaos.Proxy
-	// Reconnector maintains a bridged bus client across link failures
-	// under Backoff + Breaker.
-	Reconnector = bus.Reconnector
-	// ReconnectOptions tunes a Reconnector.
-	ReconnectOptions = bus.ReconnectOptions
-	// WALFaultError is the typed storage fault the WAL surfaces, carrying
-	// the failed op and whether a retry can succeed.
-	WALFaultError = wal.FaultError
-	// WALFS is the filesystem seam the WAL writes through — swap in
-	// chaos.NewFS to inject storage faults deterministically.
-	WALFS = wal.FS
-)
-
-// NewBackoff returns a full-jitter backoff schedule; base/cap <= 0 select
-// the defaults (50ms / 15s).
-func NewBackoff(base, cap time.Duration, seed int64) *Backoff {
-	return chaos.NewBackoff(base, cap, seed)
-}
-
-// NewFaultInjector returns a deterministic, seeded fault injector (disarmed
-// until Arm is called with a fault schedule).
-func NewFaultInjector(seed int64) *FaultInjector { return chaos.NewInjector(seed) }
-
-// NewChaosProxy relays framed traffic from listenAddr to target through
-// inj's fault schedule.
-func NewChaosProxy(listenAddr, target string, inj *FaultInjector) (*ChaosProxy, error) {
-	return chaos.NewProxy(listenAddr, target, inj)
-}
-
-// NewReconnector dials a bus bridge and keeps it alive across failures.
-func NewReconnector(addr, exportPattern string, b *bus.Bus, opts ReconnectOptions) (*Reconnector, error) {
-	return bus.NewReconnector(addr, exportPattern, b, opts)
-}
-
-// WALRetryable reports whether a WAL append error is transient backpressure
-// (shed and retry later) as opposed to a fatal storage fault (halt).
-func WALRetryable(err error) bool { return wal.Retryable(err) }
-
-// Scenario-engine vocabulary (see internal/scenario): declarative chaos
-// scenarios — a JSON document composes a synthetic facility, workload mix,
-// loop fleet, and seeded fault-injection schedule; running one scores
-// detection, MTTR, false-positive rate, and action efficiency against the
-// ground-truth schedule.
-type (
-	// Scenario is one decoded scenario document.
-	Scenario = scenario.Spec
-	// ScenarioError is the typed decode/validation error naming the
-	// offending field.
-	ScenarioError = scenario.SpecError
-	// ScenarioRuntime is one assembled scenario stack, armed but not run.
-	ScenarioRuntime = scenario.Runtime
-	// ScenarioReport is a run's deterministic scorecard.
-	ScenarioReport = scenario.Report
-	// ScenarioLoop is one fleet member plus its scoring attribution.
-	ScenarioLoop = scenario.Loop
-)
-
-// DecodeScenario parses and validates a scenario document; errors are
-// always *ScenarioError and decoding never panics.
-func DecodeScenario(data []byte) (*Scenario, error) { return scenario.Decode(data) }
-
-// RunScenario assembles the scenario's full stack against reg and runs it
-// to the horizon, returning the scorecard.
-func RunScenario(spec *Scenario, reg *Registry) (*ScenarioReport, error) {
-	return scenario.Run(spec, reg)
-}
-
-// ScenarioPresets: Small is the quick-check shape, Midsize the
-// chaos-diverse CI scenario, Stress10k the 10k-node scale gate.
-func ScenarioSmall(seed int64) *Scenario   { return scenario.Small(seed) }
-func ScenarioMidsize(seed int64) *Scenario { return scenario.Midsize(seed) }
-func ScenarioStress(seed int64) *Scenario  { return scenario.Stress10k(seed) }
-
-// ScenarioInjectors lists the fault-injector library's kinds.
-func ScenarioInjectors() []string { return scenario.InjectorKinds() }
-
-// ScenarioTemplates returns each built-in case's scenario fleet entry.
-func ScenarioTemplates() []ScenarioLoop { return cases.ScenarioTemplates() }

@@ -8,28 +8,15 @@ package main
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-	"os/signal"
 	"sync/atomic"
-	"syscall"
 	"time"
 
-	"autoloop/internal/app"
 	"autoloop/internal/bus"
 	"autoloop/internal/cases"
 	"autoloop/internal/cluster"
 	"autoloop/internal/control"
-	"autoloop/internal/facility"
-	"autoloop/internal/fleet"
 	"autoloop/internal/gateway"
-	"autoloop/internal/hw"
-	"autoloop/internal/knowledge"
-	"autoloop/internal/pfs"
-	"autoloop/internal/sched"
-	"autoloop/internal/sim"
-	"autoloop/internal/telemetry"
-	"autoloop/internal/tsdb"
 	"autoloop/internal/wal"
 )
 
@@ -171,25 +158,7 @@ func runCoordinator(cfg clusterConfig) error {
 		fmt.Printf("modad: http gateway on http://%s (/v1/query, /v1/control/<op>, /v1/stream, /metrics)\n", gw.Addr())
 	}
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-	start := time.Now()
-	tick := time.NewTicker(250 * time.Millisecond)
-	defer tick.Stop()
-loop:
-	for {
-		select {
-		case <-tick.C:
-			if cfg.Duration > 0 && time.Since(start) >= cfg.Duration {
-				break loop
-			}
-			coord.Tick(time.Now())
-		case sig := <-sigs:
-			fmt.Printf("modad: %v: shutting down\n", sig)
-			break loop
-		}
-	}
+	runWallClock(cfg.Duration, func(time.Duration) { coord.Tick(time.Now()) })
 
 	if w != nil {
 		if err := w.Close(); err != nil {
@@ -217,72 +186,13 @@ func runWorker(cfg clusterConfig) error {
 		id = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 
-	engine := sim.NewEngine(1)
-	db := tsdb.New(2 * time.Hour)
-	b := bus.New()
-	for _, rule := range []tsdb.RollupRule{
-		{Metric: "node.temp.celsius", Step: 5 * time.Minute, Agg: tsdb.AggMean, Retention: 24 * time.Hour},
-		{Metric: "facility.pue", Step: 5 * time.Minute, Agg: tsdb.AggMean, Retention: 24 * time.Hour},
-		{Metric: "pfs.ost.lat_ms", Step: 5 * time.Minute, Agg: tsdb.AggP95, Retention: 24 * time.Hour},
-	} {
-		if err := db.AddRollup(rule); err != nil {
-			return err
-		}
+	d, err := newDaemon(id)
+	if err != nil {
+		return err
 	}
-	svc := tsdb.NewService(db).Attach(b, id)
-	defer svc.Close()
-
-	ccfg := hw.DefaultConfig()
-	ccfg.Nodes = 16
-	cl := hw.New(engine, ccfg)
-	plant := facility.New(engine, facility.DefaultConfig(), cl)
-	fs := pfs.New(engine, pfs.Config{OSTs: 8, OSTBandwidthMBps: 300, DefaultStripeCount: 4})
-	scheduler := sched.New(engine, cl.UpNodes(), sched.DefaultExtensionPolicy())
-	runtime := app.NewRuntime(engine, db, fs, cl)
-	runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-	scheduler.SetHooks(runtime.Start, runtime.Kill)
-
-	reg := telemetry.NewRegistry()
-	reg.Register(cl.Collector())
-	reg.Register(plant.Collector())
-	reg.Register(fs.Collector())
-	reg.Register(scheduler.Collector())
-	pipe := telemetry.NewPipeline(reg, db).PublishTo(b, id)
-	q, _ := pipe.Querier()
-
-	env := &control.Env{
-		Querier:   q,
-		Plant:     plant,
-		Scheduler: scheduler,
-		Apps:      runtime,
-		Cluster:   cl,
-		FS:        fs,
-		Knowledge: knowledge.NewBase(),
-		Clock:     sim.VirtualClock{Engine: engine},
-		Rng:       rand.New(rand.NewSource(1)),
-		Bus:       b,
-	}
-	coord := fleet.New(0).PublishTo(b, id)
-	ctl := control.NewService(cases.NewRegistry(), env, coord, time.Minute).Attach(b, id)
-	defer ctl.Close()
-	pipe.Drive(ctl, 2)
-	engine.Every(engine.Now()+30*time.Second, 30*time.Second, func() bool {
-		pipe.Sample(engine.Now())
-		return true
-	})
-
-	// The worker's own synthetic workload keeps its telemetry slice alive,
-	// so scattered queries return per-worker series.
-	for i := 0; i < 6; i++ {
-		name := fmt.Sprintf("steady%02d", i)
-		runtime.RegisterSpec(name, app.Spec{
-			Name: name, TotalIters: 1 << 20,
-			IterTime: sim.LogNormal{MeanV: time.Minute, CV: 0.2},
-			IOEvery:  7, IOSizeMB: 256, StripeCount: 4,
-		})
-		if _, err := scheduler.Submit(name, "ops", 2, 1000*time.Hour, 0); err != nil {
-			return err
-		}
+	defer d.Close()
+	if err := d.start(); err != nil {
+		return err
 	}
 
 	// The bridge link is maintained by a Reconnector: a dropped link is
@@ -294,7 +204,7 @@ func runWorker(cfg clusterConfig) error {
 	// unreachable the loops keep ticking under local fail-open arbitration,
 	// and on rejoin the agent re-Hellos and backfills its buffered digests.
 	var agentRef atomic.Pointer[cluster.Agent]
-	rc, err := bus.NewReconnector(cfg.Join, cluster.WorkerExportPattern, b, bus.ReconnectOptions{
+	rc, err := bus.NewReconnector(cfg.Join, cluster.WorkerExportPattern, d.Bus, bus.ReconnectOptions{
 		OnState: func(up bool) {
 			if a := agentRef.Load(); a != nil {
 				a.SetLinkState(up)
@@ -307,11 +217,12 @@ func runWorker(cfg clusterConfig) error {
 	}
 	defer rc.Close()
 
-	agent, err := cluster.NewAgent(b, ctl, svc, cluster.AgentOptions{
+	coord := d.Ctl.Coordinator()
+	agent, err := cluster.NewAgent(d.Bus, d.Ctl, d.svc, cluster.AgentOptions{
 		ID:        id,
 		Heartbeat: cfg.Heartbeat,
 		Stats: func() (int, uint64, int) {
-			return db.NumSeries(), db.Appended(), coord.Metrics().Rounds
+			return d.DB.NumSeries(), d.DB.Appended(), coord.Metrics().Rounds
 		},
 		Logf: func(format string, args ...any) { fmt.Printf("modad: "+format+"\n", args...) },
 	})
@@ -322,34 +233,14 @@ func runWorker(cfg clusterConfig) error {
 	agentRef.Store(agent)
 	fmt.Printf("modad: worker %s joined coordinator at %s (speed %dx)\n", id, cfg.Join, cfg.Speed)
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-	vbase := engine.Now()
-	start := time.Now()
-	tick := time.NewTicker(250 * time.Millisecond)
-	defer tick.Stop()
-loop:
-	for {
-		select {
-		case <-tick.C:
-			wall := time.Since(start)
-			if cfg.Duration > 0 && wall >= cfg.Duration {
-				break loop
-			}
-			engine.RunUntil(vbase + time.Duration(int64(wall)*int64(cfg.Speed)))
-		case sig := <-sigs:
-			fmt.Printf("modad: %v: shutting down\n", sig)
-			break loop
-		}
-	}
+	d.runSimulation(cfg.Speed, cfg.Duration)
 
 	agent.Close()
 	cm := coord.Metrics()
 	am := agent.Metrics()
 	dials, failures, drops := rc.Stats()
 	fmt.Printf("modad: worker %s done; %d series, %d samples stored; fleet ran %d rounds (%d actions, %d arbitrated, %d remote-denied); link: %d dials (%d failed, %d drops), %d degraded spells (%d rounds, %d digests backfilled)\n",
-		id, db.NumSeries(), db.Appended(), cm.Rounds, cm.Planned, cm.Arbitrated, cm.Remote,
+		id, d.DB.NumSeries(), d.DB.Appended(), cm.Rounds, cm.Planned, cm.Arbitrated, cm.Remote,
 		dials, failures, drops, am.DegradedEntries, am.DegradedRounds, am.DigestsBackfilled)
 	return nil
 }

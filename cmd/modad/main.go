@@ -64,30 +64,17 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-	"os/signal"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
-	"autoloop/internal/app"
 	"autoloop/internal/bus"
 	"autoloop/internal/cases"
 	"autoloop/internal/cluster"
 	"autoloop/internal/control"
-	"autoloop/internal/facility"
-	"autoloop/internal/fleet"
 	"autoloop/internal/gateway"
-	"autoloop/internal/hw"
-	"autoloop/internal/knowledge"
-	"autoloop/internal/pfs"
 	"autoloop/internal/scenario"
-	"autoloop/internal/sched"
-	"autoloop/internal/sim"
-	"autoloop/internal/telemetry"
-	"autoloop/internal/tsdb"
 	"autoloop/internal/wal"
 )
 
@@ -183,8 +170,8 @@ func run() error {
 	}
 
 	// Coordinator and worker roles branch off here; the single-process path
-	// below is untouched by clustering, so dev-mode behavior (and its fixed
-	// -seed experiment output) stays byte-identical.
+	// below adds durability and the full serving surface to the same stack
+	// a worker runs (newDaemon).
 	if *role != "single" {
 		cfg := clusterConfig{
 			Role: *role, Addr: *addr, HTTPAddr: *httpAddr,
@@ -218,9 +205,9 @@ func run() error {
 	}
 
 	// Durability, part 1: open the log (repairing any torn tail left by a
-	// crash) and read the newest valid snapshot BEFORE the simulation is
-	// built, because the virtual clock must resume from the snapshot's time
-	// — every subsystem constructed below schedules against it.
+	// crash) and read the newest valid snapshot. The virtual clock resumes
+	// from the snapshot's time, so it jumps right after the stack is built,
+	// while nothing is scheduled against it yet.
 	var w *wal.WAL
 	var snap *daemonSnapshot
 	if *walDir != "" {
@@ -244,75 +231,15 @@ func run() error {
 		}
 	}
 
-	engine := sim.NewEngine(1)
+	d, err := newDaemon("modad")
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	engine, db, kb, ctl := d.Engine, d.DB, d.Knowledge, d.Ctl
 	if snap != nil && snap.Now > 0 {
 		engine.RunUntil(snap.Now) // nothing scheduled yet: jumps the clock
 	}
-	db := tsdb.New(2 * time.Hour)
-	b := bus.New()
-
-	// Continuous rollups: coarse aggregates are maintained at append time
-	// and stay queryable for a day, long past the 2h raw retention. Rules
-	// are registered before any restore so recovered series re-attach them.
-	for _, rule := range []tsdb.RollupRule{
-		{Metric: "node.temp.celsius", Step: 5 * time.Minute, Agg: tsdb.AggMean, Retention: 24 * time.Hour},
-		{Metric: "facility.pue", Step: 5 * time.Minute, Agg: tsdb.AggMean, Retention: 24 * time.Hour},
-		{Metric: "pfs.ost.lat_ms", Step: 5 * time.Minute, Agg: tsdb.AggP95, Retention: 24 * time.Hour},
-	} {
-		if err := db.AddRollup(rule); err != nil {
-			return err
-		}
-	}
-
-	// The query endpoint: clients publish tsdb.QueryRequest payloads on
-	// "tsdb.query" (one JSON line over the TCP bridge) and receive
-	// "tsdb.result" envelopes — raw ranges, instant lookups, or registered
-	// rollups via step_ms/agg.
-	svc := tsdb.NewService(db).Attach(b, "modad")
-	defer svc.Close()
-
-	ccfg := hw.DefaultConfig()
-	ccfg.Nodes = 16
-	cl := hw.New(engine, ccfg)
-	plant := facility.New(engine, facility.DefaultConfig(), cl)
-	fs := pfs.New(engine, pfs.Config{OSTs: 8, OSTBandwidthMBps: 300, DefaultStripeCount: 4})
-	scheduler := sched.New(engine, cl.UpNodes(), sched.DefaultExtensionPolicy())
-	runtime := app.NewRuntime(engine, db, fs, cl)
-	runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-	scheduler.SetHooks(runtime.Start, runtime.Kill)
-
-	reg := telemetry.NewRegistry()
-	reg.Register(cl.Collector())
-	reg.Register(plant.Collector())
-	reg.Register(fs.Collector())
-	reg.Register(scheduler.Collector())
-
-	// One batched pipeline stores every gathered point and fans the batch
-	// out on the bus — a single ingest pass and a single PublishBatch per
-	// sampling round, with each point on "telemetry.<name>".
-	pipe := telemetry.NewPipeline(reg, db).PublishTo(b, "modad")
-	q, _ := pipe.Querier() // the pipeline's sink is the TSDB
-
-	// The response side is spec-driven: a control service owns the fleet
-	// coordinator and spawns every loop from its JSON spec through the case
-	// registry; the same service answers control.v1 requests from the wire
-	// and runs the pending-approval queue for human-in-the-loop actions.
-	kb := knowledge.NewBase()
-	env := &control.Env{
-		Querier:   q,
-		Plant:     plant,
-		Scheduler: scheduler,
-		Apps:      runtime,
-		Cluster:   cl,
-		FS:        fs,
-		Knowledge: kb,
-		Clock:     sim.VirtualClock{Engine: engine},
-		Rng:       rand.New(rand.NewSource(1)),
-		Bus:       b,
-	}
-	coord := fleet.New(0).PublishTo(b, "modad")
-	ctl := control.NewService(cases.NewRegistry(), env, coord, time.Minute).Attach(b, "modad")
-	defer ctl.Close()
 
 	// Durability, part 2: restore each subsystem from the snapshot, replay
 	// the WAL tail on top, and only then attach the journals — replayed
@@ -380,7 +307,7 @@ func run() error {
 		// own paths.
 		var lastJournalErr atomic.Int64 // unix nanos of the last logged failure
 		var journalHalted atomic.Bool
-		b.Journal(func(env bus.Envelope) {
+		d.Bus.Journal(func(env bus.Envelope) {
 			if journalHalted.Load() || !journaledTopic(env.Topic) {
 				return
 			}
@@ -413,31 +340,9 @@ func run() error {
 			}
 		}
 	}
-	// One control round every 2nd sample = every virtual minute. Loop
-	// lifecycle envelopes ("loop.<name>.*"), coordinator round summaries
-	// ("fleet.round", "fleet.conflict"), and control.v1 traffic travel the
-	// same bus as the telemetry.
-	pipe.Drive(ctl, 2)
-
-	// Every takes an absolute start time: offset by Now so the schedule
-	// works from a recovered clock as well as from zero. Sink errors are
-	// checked after each round — a TSDB that rejects points (clock skew,
-	// invalid values) must surface while the daemon runs, not be swallowed
-	// into the pipeline's sticky error.
-	var lastIngestLog atomic.Int64 // unix nanos of the last logged failure
-	var seenIngestErrs uint64
-	engine.Every(engine.Now()+30*time.Second, 30*time.Second, func() bool {
-		pipe.Sample(engine.Now())
-		if _, _, errs := pipe.Stats(); errs > seenIngestErrs {
-			seenIngestErrs = errs
-			if now := time.Now().UnixNano(); now-lastIngestLog.Load() >= int64(time.Second) {
-				lastIngestLog.Store(now)
-				fmt.Fprintf(os.Stderr, "modad: telemetry ingest: %d points rejected so far (latest: %v)\n",
-					errs, pipe.Err())
-			}
-		}
-		return true
-	})
+	if err := d.start(); err != nil {
+		return err
+	}
 
 	// snapshot writes one combined snapshot covering everything the log
 	// holds up to now, then compacts the segments it supersedes. Sync comes
@@ -485,33 +390,20 @@ func run() error {
 		})
 	}
 
-	// A rolling synthetic workload keeps the signals alive.
-	for i := 0; i < 6; i++ {
-		name := fmt.Sprintf("steady%02d", i)
-		runtime.RegisterSpec(name, app.Spec{
-			Name: name, TotalIters: 1 << 20,
-			IterTime: sim.LogNormal{MeanV: time.Minute, CV: 0.2},
-			IOEvery:  7, IOSizeMB: 256, StripeCount: 4,
-		})
-		if _, err := scheduler.Submit(name, "ops", 2, 1000*time.Hour, 0); err != nil {
-			return err
-		}
-	}
-
-	srv, err := bus.NewServer(*addr, "*", b)
+	srv, err := bus.NewServer(*addr, "*", d.Bus)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
 	fmt.Printf("modad: serving telemetry, loop, fleet, and control.v1 envelopes on %s (speed %dx, %d loops)\n",
-		srv.Addr(), *speed, coord.Len())
+		srv.Addr(), *speed, ctl.Coordinator().Len())
 
 	// The HTTP gateway serves the same query and control vocabulary over
 	// /v1, plus SSE subscriptions and Prometheus-style self-telemetry.
 	if *httpAddr != "" {
 		gw := gateway.New(gateway.Options{
-			Store: db, Control: ctl, Bus: b,
-			Pipeline: pipe, WAL: w, WireServer: srv,
+			Store: db, Control: ctl, Bus: d.Bus,
+			Pipeline: d.Pipe, WAL: w, WireServer: srv,
 			ReadTokens:     splitTokens(*httpReadTok),
 			OperatorTokens: splitTokens(*httpOpTok),
 		})
@@ -524,27 +416,7 @@ func run() error {
 
 	// Drive the simulation against the wall clock; SIGINT/SIGTERM begins a
 	// graceful shutdown.
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-	vbase := engine.Now()
-	start := time.Now()
-	tick := time.NewTicker(250 * time.Millisecond)
-	defer tick.Stop()
-loop:
-	for {
-		select {
-		case <-tick.C:
-			wall := time.Since(start)
-			if *duration > 0 && wall >= *duration {
-				break loop
-			}
-			engine.RunUntil(vbase + time.Duration(int64(wall)*int64(*speed)))
-		case sig := <-sigs:
-			fmt.Printf("modad: %v: shutting down\n", sig)
-			break loop
-		}
-	}
+	d.runSimulation(*speed, *duration)
 
 	// Shutdown: snapshot FIRST, while the fleet still holds its live
 	// lifecycle states — a restart with the same -wal-dir resumes exactly
@@ -570,8 +442,8 @@ loop:
 		fmt.Printf("modad: wal closed; %d records, %d bytes, %d syncs, %d rotations\n",
 			m.Appends, m.Bytes, m.Syncs, m.Rotations)
 	}
-	cm := coord.Metrics()
-	_, _, sinkErrs := pipe.Stats()
+	cm := ctl.Coordinator().Metrics()
+	_, _, sinkErrs := d.Pipe.Stats()
 	fmt.Printf("modad: done; %d series, %d samples stored (%d ingest errors); fleet ran %d rounds (%d actions, %d arbitrated)\n",
 		db.NumSeries(), db.Appended(), sinkErrs, cm.Rounds, cm.Planned, cm.Arbitrated)
 	return nil

@@ -13,55 +13,29 @@ package main
 import (
 	"bufio"
 	"fmt"
-	"math/rand"
 	"net"
 	"time"
 
-	"autoloop/internal/app"
 	"autoloop/internal/bus"
 	"autoloop/internal/cases"
 	"autoloop/internal/control"
-	"autoloop/internal/facility"
-	"autoloop/internal/fleet"
-	"autoloop/internal/hw"
-	"autoloop/internal/knowledge"
-	"autoloop/internal/pfs"
-	"autoloop/internal/sched"
+	"autoloop/internal/scenario"
 	"autoloop/internal/sim"
-	"autoloop/internal/telemetry"
 	"autoloop/internal/tsdb"
 )
 
 func main() {
 	// --- the managed system and its monitoring plane ---
-	engine := sim.NewEngine(11)
-	db := tsdb.New(0)
-	ccfg := hw.DefaultConfig()
-	ccfg.Nodes = 16
-	cl := hw.New(engine, ccfg)
-	plant := facility.New(engine, facility.DefaultConfig(), cl)
-	fs := pfs.New(engine, pfs.Config{OSTs: 4, OSTBandwidthMBps: 300, DefaultStripeCount: 2})
-	scheduler := sched.New(engine, cl.UpNodes(), sched.DefaultExtensionPolicy())
-	runtime := app.NewRuntime(engine, db, fs, cl)
-	runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-	scheduler.SetHooks(runtime.Start, runtime.Kill)
+	st, err := scenario.Build(&scenario.Spec{Seed: 11, Facility: scenario.Facility{
+		Nodes: 16, Plant: true, OSTs: 4, OSTBandwidthMBps: 300, StripeCount: 2,
+	}}, cases.NewRegistry(), tsdb.New(0))
+	check(err)
+	engine, b := st.Engine, st.Bus
+	st.Telemetry.Register(st.Scheduler.Collector())
+	pipe := st.Pipe.PublishTo(b, "control-example")
 
-	reg := telemetry.NewRegistry()
-	reg.Register(cl.Collector())
-	reg.Register(plant.Collector())
-	reg.Register(fs.Collector())
-	reg.Register(scheduler.Collector())
-	b := bus.New()
-	pipe := telemetry.NewPipeline(reg, db).PublishTo(b, "control-example")
-
-	// --- the control plane: registry + env + service on the bus ---
-	env := &control.Env{
-		Querier: db, Plant: plant, Scheduler: scheduler, Apps: runtime,
-		Cluster: cl, FS: fs, Knowledge: knowledge.NewBase(),
-		Clock: sim.VirtualClock{Engine: engine}, Rng: rand.New(rand.NewSource(11)), Bus: b,
-	}
-	coord := fleet.New(0)
-	ctl := control.NewService(cases.NewRegistry(), env, coord, time.Minute).Attach(b, "control-example")
+	// --- the control plane: registry + env + service, attached to the bus ---
+	ctl := st.Ctl.Attach(b, "control-example")
 	defer ctl.Close()
 
 	// --- spawn the fleet from declarative JSON specs ---

@@ -10,20 +10,14 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
+	"sort"
 	"time"
 
 	"autoloop/internal/analytics"
 	"autoloop/internal/app"
-	"autoloop/internal/bus"
 	"autoloop/internal/cases"
 	"autoloop/internal/control"
-	"autoloop/internal/facility"
-	"autoloop/internal/fleet"
-	"autoloop/internal/hw"
-	"autoloop/internal/knowledge"
-	"autoloop/internal/pfs"
-	"autoloop/internal/sched"
+	"autoloop/internal/scenario"
 	"autoloop/internal/sim"
 	"autoloop/internal/telemetry"
 	"autoloop/internal/tsdb"
@@ -31,44 +25,33 @@ import (
 )
 
 func main() {
-	engine := sim.NewEngine(7)
-	db := tsdb.New(0)
+	// --- the managed system, one component per Fig. 1 box: system hardware
+	// (16 nodes), building infrastructure (the cooling plant, its supply
+	// setpoint feeding the nodes' inlet air), system software (parallel
+	// filesystem, scheduler), and applications ---
+	st, err := scenario.Build(&scenario.Spec{Seed: 7, Facility: scenario.Facility{
+		Nodes: 16, Plant: true, OSTs: 8, OSTBandwidthMBps: 300, StripeCount: 4,
+	}}, cases.NewRegistry(), tsdb.New(0))
+	if err != nil {
+		panic(err)
+	}
+	engine, db, plant, cl, fs, scheduler, runtime := st.Engine, st.DB, st.Plant, st.Cluster, st.FS, st.Scheduler, st.Apps
 
-	// --- the managed system, one component per Fig. 1 box ---
-	ccfg := hw.DefaultConfig()
-	ccfg.Nodes = 16
-	cl := hw.New(engine, ccfg)                                                               // system hardware
-	plant := facility.New(engine, facility.DefaultConfig(), cl)                              // building infrastructure
-	fs := pfs.New(engine, pfs.Config{OSTs: 8, OSTBandwidthMBps: 300, DefaultStripeCount: 4}) // system software
-	scheduler := sched.New(engine, cl.UpNodes(), sched.DefaultExtensionPolicy())
-	runtime := app.NewRuntime(engine, db, fs, cl) // applications
-	runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-	scheduler.SetHooks(runtime.Start, runtime.Kill)
-
-	// --- holistic monitoring: every domain registers its sensors ---
-	reg := telemetry.NewRegistry()
-	reg.Register(cl.Collector())
-	reg.Register(plant.Collector())
-	reg.Register(fs.Collector())
-	reg.Register(scheduler.Collector())
-	pipe := telemetry.NewPipeline(reg, db)
+	// --- holistic monitoring: every domain registers its sensors; Build
+	// registers hardware, facility and filesystem, the scheduler joins here ---
+	st.Telemetry.Register(scheduler.Collector())
+	pipe := st.Pipe
 
 	// --- autonomous response: a spec-driven fleet under one coordinator ---
 	// The loops are declared as JSON specs and spawned through the control
-	// registry into a deployment environment; the monitoring pipeline
-	// drives the control service (a round every 2nd sample = every
+	// registry into the stack's deployment environment; the monitoring
+	// pipeline drives the control service (a round every 2nd sample = every
 	// minute): the power loop manages cooling energy under the thermal
 	// limit, the OST loop steers applications off degraded storage, and
 	// the coordinator's arbiter would resolve any same-subject conflict
 	// between them by priority.
-	b := bus.New()
-	env := &control.Env{
-		Querier: db, Plant: plant, Scheduler: scheduler, Apps: runtime,
-		Cluster: cl, FS: fs, Knowledge: knowledge.NewBase(),
-		Clock: sim.VirtualClock{Engine: engine}, Rng: rand.New(rand.NewSource(7)), Bus: b,
-	}
-	coord := fleet.New(0).PublishTo(b, "holistic")
-	ctl := control.NewService(cases.NewRegistry(), env, coord, time.Minute).Attach(b, "holistic")
+	coord := st.Ctl.Coordinator().PublishTo(st.Bus, "holistic")
+	ctl := st.Ctl.Attach(st.Bus, "holistic")
 	specs, err := control.ParseSpecs([]byte(`[
 		{"case": "power", "period": "1m"},
 		{"case": "ost", "period": "1m"}
@@ -160,8 +143,17 @@ func main() {
 	fmt.Println("holistic MODA run complete")
 	fmt.Printf("  %d series, %d samples across 4 domains\n", db.NumSeries(), db.Appended())
 	fmt.Println("  diagnoses:")
-	for what, when := range found {
-		fmt.Printf("   %-42s at %v\n", what, when)
+	diagnoses := make([]string, 0, len(found))
+	for what := range found {
+		diagnoses = append(diagnoses, what)
+	}
+	// By detection time, then by name: map order would shuffle the report.
+	sort.Slice(diagnoses, func(i, j int) bool {
+		a, b := diagnoses[i], diagnoses[j]
+		return found[a] < found[b] || (found[a] == found[b] && a < b)
+	})
+	for _, what := range diagnoses {
+		fmt.Printf("   %-42s at %v\n", what, found[what])
 	}
 	cm := coord.Metrics()
 	fmt.Printf("  fleet: %d rounds, %d actions planned, %d conflicts arbitrated\n",

@@ -15,9 +15,9 @@ import (
 // digest's action is granted, the (worker, loop, kind, rank, priority) grant
 // holds the subject for a wall-clock window, and a later conflicting action
 // — different kind, from a different worker — is denied unless it outranks
-// the holder (kind rank first, then priority, mirroring fleet.Arbiter). A
-// same-worker action is never denied here: the worker's own fleet arbiter
-// already resolved local conflicts.
+// the holder, by the same fleet.Contest rule the per-round fleet.Arbiter
+// applies. A same-worker action is never denied here: the worker's own
+// fleet arbiter already resolved local conflicts.
 type Arbiter struct {
 	mu       sync.Mutex
 	window   time.Duration
@@ -28,12 +28,10 @@ type Arbiter struct {
 }
 
 type grant struct {
-	worker   string
-	loop     string
-	kind     string
-	rank     int
-	priority int
-	until    time.Time
+	worker string
+	loop   string
+	claim  fleet.Claim
+	until  time.Time
 }
 
 // DefaultArbWindow is the grant window: a granted action holds its subject
@@ -84,24 +82,21 @@ func (a *Arbiter) Decide(d Digest, now time.Time) Verdict {
 		if held && now.After(g.until) {
 			held = false
 		}
-		rank := a.kindRank[act.Kind]
-		// A conflict needs a different worker and a contradicting kind —
-		// two workers granting the same kind on a subject is redundancy,
-		// not contradiction, matching fleet.DefaultConflictPolicy.
-		if held && g.worker != d.Worker && g.kind != act.Kind {
-			if rank < g.rank || (rank == g.rank && act.Priority <= g.priority) {
+		claim := fleet.Claim{Kind: act.Kind, Rank: a.kindRank[act.Kind], Priority: act.Priority}
+		// Another worker's action is denied when it conflicts with the
+		// holder without outranking it.
+		if held && g.worker != d.Worker {
+			if conflict, outranks := fleet.Contest(claim, g.claim); conflict && !outranks {
 				v.Deny[i] = true
 				v.Reasons[i] = fmt.Sprintf(
 					"subject %s held by %s/%s/%s (kind rank %d vs %d, priority %d vs %d)",
-					act.Subject, g.worker, g.loop, g.kind, rank, g.rank, act.Priority, g.priority)
+					act.Subject, g.worker, g.loop, g.claim.Kind,
+					claim.Rank, g.claim.Rank, claim.Priority, g.claim.Priority)
 				a.denied++
 				continue
 			}
 		}
-		a.grants[act.Subject] = grant{
-			worker: d.Worker, loop: act.Loop, kind: act.Kind,
-			rank: rank, priority: act.Priority, until: now.Add(a.window),
-		}
+		a.grants[act.Subject] = grant{worker: d.Worker, loop: act.Loop, claim: claim, until: now.Add(a.window)}
 	}
 	return v
 }

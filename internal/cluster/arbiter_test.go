@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"autoloop/internal/core"
 	"autoloop/internal/fleet"
 )
 
@@ -124,5 +125,95 @@ func TestArbiterSubjectlessActionsIgnored(t *testing.T) {
 	}
 	if a.Denied() != 0 {
 		t.Fatal("subjectless action counted as denied")
+	}
+}
+
+// TestArbitersAgree feeds the same same-subject contests to the per-round
+// fleet arbiter (two loops in one round, the holder registered first) and to
+// the cross-node grant table (two workers, the holder's digest first); both
+// must pick the same winner, since both apply fleet.Contest.
+func TestArbitersAgree(t *testing.T) {
+	type side struct {
+		kind     string
+		priority int
+	}
+	ranks := map[string]int{"cap": 2, "shed": 1, "drain": 1}
+	cases := []struct {
+		name               string
+		holder, challenger side
+		want               string // "holder", "challenger", or "both"
+	}{
+		{"higher priority holds", side{"raise", 5}, side{"lower", 3}, "holder"},
+		{"higher priority takes", side{"raise", 5}, side{"lower", 9}, "challenger"},
+		{"priority tie keeps holder", side{"raise", 5}, side{"lower", 5}, "holder"},
+		{"kind rank beats priority", side{"raise", 9}, side{"shed", 1}, "challenger"},
+		{"higher kind rank holds", side{"cap", 1}, side{"shed", 9}, "holder"},
+		{"equal kind ranks fall to priority", side{"shed", 4}, side{"drain", 7}, "challenger"},
+		{"same ranked kind is redundancy", side{"shed", 4}, side{"shed", 7}, "both"},
+		{"same kind is redundancy", side{"raise", 1}, side{"raise", 9}, "both"},
+		{"same kind lower priority", side{"raise", 9}, side{"raise", 1}, "both"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// In-process: one fleet round.
+			var executed []string
+			loop := func(name string, s side) *core.Loop {
+				act := core.Action{Kind: s.kind, Subject: "plant"}
+				return core.NewLoop(name,
+					core.MonitorFunc(func(now time.Duration) (core.Observation, error) {
+						return core.Observation{Time: now}, nil
+					}),
+					core.AnalyzerFunc(func(now time.Duration, _ core.Observation) (core.Symptoms, error) {
+						return core.Symptoms{Time: now}, nil
+					}),
+					core.PlannerFunc(func(now time.Duration, _ core.Symptoms) (core.Plan, error) {
+						return core.Plan{Time: now, Actions: []core.Action{act}}, nil
+					}),
+					core.ExecutorFunc(func(now time.Duration, a core.Action) (core.ActionResult, error) {
+						executed = append(executed, name)
+						return core.ActionResult{Action: a, Honored: true}, nil
+					}))
+			}
+			c := fleet.New(1)
+			for kind, r := range ranks {
+				c.Arbiter().RankKind(kind, r)
+			}
+			c.Add(loop("holder", tc.holder), tc.holder.priority)
+			c.Add(loop("challenger", tc.challenger), tc.challenger.priority)
+			c.Tick(time.Minute)
+			local := strings.Join(executed, "+")
+			switch local {
+			case "holder+challenger":
+				local = "both"
+			case "holder", "challenger":
+			default:
+				t.Fatalf("fleet executed %q", local)
+			}
+
+			// Cross-node: the holder's grant, then the challenger's digest.
+			a := NewArbiter(time.Hour)
+			for kind, r := range ranks {
+				a.RankKind(kind, r)
+			}
+			now := time.Unix(100, 0)
+			if v := a.Decide(digest("w1", 1, fleet.ActionDigest{
+				Loop: "holder", Kind: tc.holder.kind, Subject: "plant", Priority: tc.holder.priority,
+			}), now); v.Deny[0] {
+				t.Fatal("first grant denied")
+			}
+			v := a.Decide(digest("w2", 1, fleet.ActionDigest{
+				Loop: "challenger", Kind: tc.challenger.kind, Subject: "plant", Priority: tc.challenger.priority,
+			}), now)
+			remote := "challenger"
+			if v.Deny[0] {
+				remote = "holder"
+			} else if tc.holder.kind == tc.challenger.kind {
+				remote = "both"
+			}
+
+			if local != tc.want || remote != tc.want {
+				t.Errorf("winner: fleet %s, cluster %s, want %s", local, remote, tc.want)
+			}
+		})
 	}
 }

@@ -144,6 +144,17 @@ func BenchmarkClusterFanoutTCP(b *testing.B) {
 		})()
 	}
 
+	// bus.Dial returns once TCP connects, but the server registers the
+	// connection later, in its accept loop; a fanout before then would miss
+	// the unregistered workers. Wait for all of them, with a deadline.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.NumClients() < len(workers) {
+		if time.Now().After(deadline) {
+			b.Fatalf("%d of %d workers registered with the server", srv.NumClients(), len(workers))
+		}
+		time.Sleep(time.Millisecond)
+	}
+
 	// One warm-up gather proves every bridge is live before timing starts.
 	warm := s.Fan(workers, func(w, id string) Fanout {
 		return Fanout{Worker: w, ID: id, Control: &control.Request{Op: control.OpList}}

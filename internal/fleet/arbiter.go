@@ -15,28 +15,44 @@ type ConflictRecord struct {
 	Losers  []string `json:"losers"` // "loop/kind" each
 }
 
+// Claim is one action's standing in a same-subject contest: its kind, the
+// kind's rank (see Arbiter.RankKind; unranked kinds rank 0), and the
+// priority of the loop that planned it.
+type Claim struct {
+	Kind     string
+	Rank     int
+	Priority int
+}
+
+// Contest is the one arbitration rule, applied to two same-subject actions
+// from different loops by the per-round Arbiter here and from different
+// workers by the cross-node grant table in internal/cluster. The actions
+// conflict only when their kinds differ: two loops planning the same kind of
+// action on a subject is redundancy, not contradiction. Challenger x
+// outranks holder y by higher kind rank first, then higher priority; ties
+// keep the holder.
+func Contest(x, y Claim) (conflict, outranks bool) {
+	conflict = x.Kind != y.Kind
+	if x.Rank != y.Rank {
+		return conflict, x.Rank > y.Rank
+	}
+	return conflict, x.Priority > y.Priority
+}
+
 // Arbiter resolves cross-loop conflicts among the actions planned in one
-// round. Two actions conflict when they come from different loops, target the
-// same subject, and the conflict policy says they contradict (by default,
-// when their kinds differ — two loops independently planning the same kind of
-// action on a subject is redundancy, not contradiction). Within a conflicting
-// subject group one winner is chosen by kind rank first, then loop priority,
-// then registration order; every action conflicting with the winner loses and
-// is marked arbitrated on its loop.
+// round. Within a subject planned on by more than one loop, one winner is
+// chosen by Contest's order (kind rank, then loop priority), ties going to
+// the earlier registration and plan position; every action from another
+// loop that conflicts with the winner loses and is marked arbitrated on its
+// loop.
 type Arbiter struct {
-	kindRank  map[string]int
-	conflicts func(a, b core.Action) bool
+	kindRank map[string]int
 }
 
-// NewArbiter returns an arbiter with no kind ranks and the default conflict
-// policy.
+// NewArbiter returns an arbiter with no kind ranks.
 func NewArbiter() *Arbiter {
-	return &Arbiter{kindRank: make(map[string]int), conflicts: DefaultConflictPolicy}
+	return &Arbiter{kindRank: make(map[string]int)}
 }
-
-// DefaultConflictPolicy reports a contradiction when two same-subject actions
-// from different loops carry different kinds.
-func DefaultConflictPolicy(a, b core.Action) bool { return a.Kind != b.Kind }
 
 // RankKind declares that actions of this kind dominate lower-ranked kinds on
 // the same subject regardless of loop priority — e.g. ranking "cap" above
@@ -48,19 +64,10 @@ func (a *Arbiter) RankKind(kind string, rank int) *Arbiter {
 	return a
 }
 
-// SetConflictPolicy replaces the conflict predicate. The policy is consulted
-// only for same-subject actions from different loops.
-func (a *Arbiter) SetConflictPolicy(f func(x, y core.Action) bool) {
-	if f == nil {
-		panic("fleet: SetConflictPolicy with nil policy")
-	}
-	a.conflicts = f
-}
-
 // candidate is one planned action located in the round's plan set.
 type candidate struct {
 	mi, ai int // member index, action index within its plan
-	act    core.Action
+	claim  Claim
 }
 
 // resolve arbitrates one round: it groups the planned actions by subject,
@@ -82,7 +89,9 @@ func (a *Arbiter) resolve(members []member, plans []*core.PlannedTick) []Conflic
 			} else if group[0].mi != mi {
 				multiLoop[act.Subject] = true
 			}
-			bySubject[act.Subject] = append(group, candidate{mi: mi, ai: ai, act: act})
+			bySubject[act.Subject] = append(group, candidate{mi: mi, ai: ai, claim: Claim{
+				Kind: act.Kind, Rank: a.kindRank[act.Kind], Priority: members[mi].priority,
+			}})
 		}
 	}
 
@@ -94,42 +103,30 @@ func (a *Arbiter) resolve(members []member, plans []*core.PlannedTick) []Conflic
 		group := bySubject[subject]
 		win := group[0]
 		for _, cand := range group[1:] {
-			if a.beats(members, cand, win) {
+			if _, outranks := Contest(cand.claim, win.claim); outranks {
 				win = cand
 			}
 		}
 		var losers []string
 		for _, cand := range group {
-			if cand.mi == win.mi || !a.conflicts(cand.act, win.act) {
+			if conflict, _ := Contest(cand.claim, win.claim); cand.mi == win.mi || !conflict {
 				continue
 			}
 			loserLoop := members[cand.mi].loop
 			winnerLoop := members[win.mi].loop
 			plans[cand.mi].Arbitrate(cand.ai, fmt.Sprintf(
 				"lost %s to %s/%s (kind rank %d vs %d, priority %d vs %d)",
-				subject, winnerLoop.Name, win.act.Kind,
-				a.kindRank[cand.act.Kind], a.kindRank[win.act.Kind],
-				members[cand.mi].priority, members[win.mi].priority))
-			losers = append(losers, loserLoop.Name+"/"+cand.act.Kind)
+				subject, winnerLoop.Name, win.claim.Kind,
+				cand.claim.Rank, win.claim.Rank, cand.claim.Priority, win.claim.Priority))
+			losers = append(losers, loserLoop.Name+"/"+cand.claim.Kind)
 		}
 		if len(losers) > 0 {
 			records = append(records, ConflictRecord{
 				Subject: subject,
-				Winner:  members[win.mi].loop.Name + "/" + win.act.Kind,
+				Winner:  members[win.mi].loop.Name + "/" + win.claim.Kind,
 				Losers:  losers,
 			})
 		}
 	}
 	return records
-}
-
-// beats reports whether candidate x wins over the current winner y: higher
-// kind rank first, then higher loop priority; ties keep y (earlier
-// registration, then earlier plan position, wins).
-func (a *Arbiter) beats(members []member, x, y candidate) bool {
-	rx, ry := a.kindRank[x.act.Kind], a.kindRank[y.act.Kind]
-	if rx != ry {
-		return rx > ry
-	}
-	return members[x.mi].priority > members[y.mi].priority
 }

@@ -63,11 +63,11 @@ func TemplateFor(caseName string) (Loop, bool) {
 	return d, true
 }
 
-// Runtime is one assembled scenario: the full single-process stack — sim
-// engine, hardware, facility, filesystem, scheduler, applications,
-// telemetry pipeline, sharded TSDB, and the loop fleet spawned through the
-// control registry — plus the armed fault schedule and the scorer.
-type Runtime struct {
+// Stack is one built simulation stack: sim engine, hardware, cooling plant,
+// filesystem, scheduler, applications, knowledge, the telemetry registry and
+// pipeline into the TSDB, and the control service owning the loop fleet. It
+// is the one way every full stack in the repository is put together.
+type Stack struct {
 	Engine    *sim.Engine
 	DB        *tsdb.DB
 	Bus       *bus.Bus
@@ -76,9 +76,17 @@ type Runtime struct {
 	FS        *pfs.FS
 	Scheduler *sched.Scheduler
 	Apps      *app.Runtime
+	Telemetry *telemetry.Registry
 	Pipe      *telemetry.Pipeline
 	Ctl       *control.Service
 	Knowledge *knowledge.Base
+}
+
+// Runtime is one assembled scenario: the built stack with its loop fleet
+// spawned through the control registry, plus the armed fault schedule and
+// the scorer.
+type Runtime struct {
+	*Stack
 
 	spec    *Spec
 	horizon time.Duration
@@ -89,6 +97,118 @@ type Runtime struct {
 	ran     bool
 }
 
+// cadences resolves the document's sampling and control-round cadences and
+// how many samples make one round.
+func (s *Spec) cadences() (sample, round time.Duration, everyN int) {
+	sample = s.SampleEvery.D()
+	if sample <= 0 {
+		sample = 30 * time.Second
+	}
+	round = s.RoundEvery.D()
+	if round <= 0 {
+		round = time.Minute
+		if round < sample {
+			round = sample
+		}
+	}
+	everyN = int(round / sample)
+	if everyN < 1 {
+		everyN = 1
+	}
+	return sample, round, everyN
+}
+
+// Build constructs the full stack described by the document's seed,
+// cadences and facility, storing telemetry into db and resolving loop specs
+// through reg. It reads nothing else from spec, spawns no loop and schedules
+// no engine event, so a caller can restore state into the stack (or jump
+// its clock) before anything runs. Only the facility is validated.
+func Build(spec *Spec, reg *control.Registry, db *tsdb.DB) (*Stack, error) {
+	if err := spec.Facility.validate(); err != nil {
+		return nil, err
+	}
+	if reg == nil {
+		return nil, fmt.Errorf("scenario: Build requires a case registry")
+	}
+	if db == nil {
+		return nil, fmt.Errorf("scenario: Build requires a TSDB")
+	}
+	_, round, _ := spec.cadences()
+	f := &spec.Facility
+
+	st := &Stack{Engine: sim.NewEngine(spec.Seed), DB: db, Bus: bus.New()}
+
+	// Hardware plane.
+	hcfg := hw.DefaultConfig()
+	hcfg.Nodes = f.Nodes
+	if f.NodesPerRack > 0 {
+		hcfg.NodesPerRack = f.NodesPerRack
+	}
+	if f.CoresPerNode > 0 {
+		hcfg.CoresPerNode = f.CoresPerNode
+	}
+	if f.MemGBPerNode > 0 {
+		hcfg.MemGBPerNode = f.MemGBPerNode
+	}
+	if f.SensorNoise != nil {
+		hcfg.SensorNoise = *f.SensorNoise
+	}
+	if f.AmbientC != 0 {
+		hcfg.AmbientC = f.AmbientC
+	}
+	st.Cluster = hw.New(st.Engine, hcfg)
+
+	if f.Plant {
+		st.Plant = facility.New(st.Engine, facility.DefaultConfig(), st.Cluster)
+		st.Plant.BindAmbient(st.Cluster)
+	}
+
+	pcfg := pfs.DefaultConfig()
+	if f.OSTs > 0 {
+		pcfg.OSTs = f.OSTs
+	}
+	if f.OSTBandwidthMBps > 0 {
+		pcfg.OSTBandwidthMBps = f.OSTBandwidthMBps
+	}
+	if f.StripeCount > 0 {
+		pcfg.DefaultStripeCount = f.StripeCount
+	}
+	st.FS = pfs.New(st.Engine, pcfg)
+
+	policy := sched.ExtensionPolicy{MaxPerJob: 3, MaxTotalPerJob: 6 * time.Hour, BackfillGuard: true}
+	st.Scheduler = sched.New(st.Engine, st.Cluster.UpNodes(), policy)
+	st.Apps = app.NewRuntime(st.Engine, st.DB, st.FS, st.Cluster)
+	st.Apps.OnComplete = func(inst *app.Instance) { st.Scheduler.JobFinished(inst.Job.ID) }
+	st.Scheduler.SetHooks(st.Apps.Start, st.Apps.Kill)
+	st.Knowledge = knowledge.NewBase()
+
+	// Telemetry plane: every substrate collector into the TSDB.
+	st.Telemetry = telemetry.NewRegistry()
+	st.Telemetry.Register(st.Cluster.Collector())
+	if st.Plant != nil {
+		st.Telemetry.Register(st.Plant.Collector())
+	}
+	st.Telemetry.Register(st.FS.Collector())
+	st.Pipe = telemetry.NewPipeline(st.Telemetry, st.DB)
+
+	// Control plane: an empty fleet under the control service, ticked at
+	// the round cadence once a caller drives it.
+	env := &control.Env{
+		Querier:   st.DB,
+		Plant:     st.Plant,
+		Scheduler: st.Scheduler,
+		Apps:      st.Apps,
+		Cluster:   st.Cluster,
+		FS:        st.FS,
+		Knowledge: st.Knowledge,
+		Clock:     sim.VirtualClock{Engine: st.Engine},
+		Rng:       rand.New(rand.NewSource(spec.Seed + 7)),
+		Bus:       st.Bus,
+	}
+	st.Ctl = control.NewService(reg, env, fleet.New(0), round)
+	return st, nil
+}
+
 // Assemble builds the full stack from one scenario spec, spawning the fleet
 // through reg (the CaseFactory path — the same registry the control plane
 // uses). The returned runtime is armed but not yet run.
@@ -96,106 +216,19 @@ func Assemble(spec *Spec, reg *control.Registry) (*Runtime, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if reg == nil {
-		return nil, fmt.Errorf("scenario: Assemble requires a case registry")
+	st, err := Build(spec, reg, tsdb.New(0))
+	if err != nil {
+		return nil, err
 	}
-
+	sample, _, everyN := spec.cadences()
 	horizon := spec.Horizon.D()
-	sample := spec.SampleEvery.D()
-	if sample <= 0 {
-		sample = 30 * time.Second
-	}
-	round := spec.RoundEvery.D()
-	if round <= 0 {
-		round = time.Minute
-		if round < sample {
-			round = sample
-		}
-	}
-	everyN := int(round / sample)
-	if everyN < 1 {
-		everyN = 1
-	}
-
 	rt := &Runtime{
+		Stack:   st,
 		spec:    spec,
 		horizon: horizon,
 		sample:  sample,
 		injRng:  rand.New(rand.NewSource(spec.Seed ^ 0x5bd1e995)),
 	}
-	rt.Engine = sim.NewEngine(spec.Seed)
-	rt.DB = tsdb.New(0)
-	rt.Bus = bus.New()
-
-	// Hardware plane.
-	hcfg := hw.DefaultConfig()
-	hcfg.Nodes = spec.Facility.Nodes
-	if spec.Facility.NodesPerRack > 0 {
-		hcfg.NodesPerRack = spec.Facility.NodesPerRack
-	}
-	if spec.Facility.CoresPerNode > 0 {
-		hcfg.CoresPerNode = spec.Facility.CoresPerNode
-	}
-	if spec.Facility.MemGBPerNode > 0 {
-		hcfg.MemGBPerNode = spec.Facility.MemGBPerNode
-	}
-	if spec.Facility.SensorNoise != nil {
-		hcfg.SensorNoise = *spec.Facility.SensorNoise
-	}
-	if spec.Facility.AmbientC != 0 {
-		hcfg.AmbientC = spec.Facility.AmbientC
-	}
-	rt.Cluster = hw.New(rt.Engine, hcfg)
-
-	if spec.Facility.Plant {
-		rt.Plant = facility.New(rt.Engine, facility.DefaultConfig(), rt.Cluster)
-		rt.Plant.BindAmbient(rt.Cluster)
-	}
-
-	pcfg := pfs.DefaultConfig()
-	if spec.Facility.OSTs > 0 {
-		pcfg.OSTs = spec.Facility.OSTs
-	}
-	if spec.Facility.OSTBandwidthMBps > 0 {
-		pcfg.OSTBandwidthMBps = spec.Facility.OSTBandwidthMBps
-	}
-	if spec.Facility.StripeCount > 0 {
-		pcfg.DefaultStripeCount = spec.Facility.StripeCount
-	}
-	rt.FS = pfs.New(rt.Engine, pcfg)
-
-	policy := sched.ExtensionPolicy{MaxPerJob: 3, MaxTotalPerJob: 6 * time.Hour, BackfillGuard: true}
-	rt.Scheduler = sched.New(rt.Engine, rt.Cluster.UpNodes(), policy)
-	rt.Apps = app.NewRuntime(rt.Engine, rt.DB, rt.FS, rt.Cluster)
-	rt.Apps.OnComplete = func(inst *app.Instance) { rt.Scheduler.JobFinished(inst.Job.ID) }
-	rt.Scheduler.SetHooks(rt.Apps.Start, rt.Apps.Kill)
-	rt.Knowledge = knowledge.NewBase()
-
-	// Telemetry plane: every substrate collector into the sharded TSDB.
-	treg := telemetry.NewRegistry()
-	treg.Register(rt.Cluster.Collector())
-	if rt.Plant != nil {
-		treg.Register(rt.Plant.Collector())
-	}
-	treg.Register(rt.FS.Collector())
-	rt.Pipe = telemetry.NewPipeline(treg, rt.DB)
-
-	// Control plane: the fleet spawned from LoopSpecs via the registry,
-	// driven by the monitoring cadence.
-	env := &control.Env{
-		Querier:   rt.DB,
-		Plant:     rt.Plant,
-		Scheduler: rt.Scheduler,
-		Apps:      rt.Apps,
-		Cluster:   rt.Cluster,
-		FS:        rt.FS,
-		Knowledge: rt.Knowledge,
-		Clock:     sim.VirtualClock{Engine: rt.Engine},
-		Rng:       rand.New(rand.NewSource(spec.Seed + 7)),
-		Bus:       rt.Bus,
-	}
-	coord := fleet.New(0)
-	rt.Ctl = control.NewService(reg, env, coord, round)
 
 	// The scorer subscribes before any loop is spawned, so no event is lost.
 	rt.scorer = newScorer(rt.Bus)

@@ -2,11 +2,14 @@ package scenario_test
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
 	"autoloop/internal/cases"
+	"autoloop/internal/control"
 	"autoloop/internal/scenario"
+	"autoloop/internal/tsdb"
 )
 
 // TestScenarioDeterministic is the contract the EXP-S* tables rest on: the
@@ -181,5 +184,40 @@ func TestRuntimeRunsOnce(t *testing.T) {
 	}
 	if _, err := rt.Run(); err == nil {
 		t.Fatal("second Run succeeded")
+	}
+}
+
+// TestBuildSchedulesNothing pins the contract a daemon restores state into:
+// Build constructs the stack from the seed, cadences and facility alone,
+// with no engine event scheduled and no loop spawned, and the cooling plant
+// already drives the nodes' inlet air.
+func TestBuildSchedulesNothing(t *testing.T) {
+	// Only the facility is read: no name, horizon, loops or injections.
+	spec := &scenario.Spec{Seed: 3, Facility: scenario.Facility{Nodes: 8, Plant: true, OSTs: 4}}
+	st, err := scenario.Build(spec, cases.NewRegistry(), tsdb.New(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Engine.Pending(); n != 0 {
+		t.Errorf("Engine.Pending() = %d after Build, want 0", n)
+	}
+	if r := st.Ctl.Handle(control.Request{Op: control.OpList}); !r.OK || len(r.Loops) != 0 {
+		t.Errorf("control list after Build = ok %v, %d loops; want ok, none", r.OK, len(r.Loops))
+	}
+	st.Plant.SetSupplySetpointC(25)
+	if got := st.Cluster.Ambient(); got != 27 {
+		t.Errorf("cluster ambient = %g after a 25°C setpoint, want 27 (plant bound to the cluster)", got)
+	}
+
+	if _, err := scenario.Build(spec, nil, tsdb.New(0)); err == nil {
+		t.Error("nil registry accepted")
+	}
+	if _, err := scenario.Build(spec, cases.NewRegistry(), nil); err == nil {
+		t.Error("nil TSDB accepted")
+	}
+	spec.Facility.Nodes = 0
+	var se *scenario.SpecError
+	if _, err := scenario.Build(spec, cases.NewRegistry(), tsdb.New(0)); !errors.As(err, &se) || se.Field != "facility.nodes" {
+		t.Errorf("zero-node facility: err = %v, want a facility.nodes *SpecError", err)
 	}
 }
