@@ -75,6 +75,10 @@ run '^BenchmarkRecovery$' 2x ./internal/wal
 # (10,368 series x 220 sweeps, ~2.28M points) applied into a fresh store.
 # BenchmarkRecovery above reads opaque payloads, so it covers framing only.
 run '^BenchmarkApplyWAL$' 2x ./internal/tsdb
+# The snapshot half of recovery at stress scale: a 51,328-series snapshot
+# (10,240 nodes x 5 metrics plus OSTs, modad's rollups, ~1.5M samples)
+# restored into a fresh store per iteration by the schema decoder.
+run '^BenchmarkRestoreSnapshot$' 2x ./internal/tsdb
 # HTTP gateway: one /v1/query through the full handler (auth, decode,
 # singleflight, zero-copy QueryVisit encode), and one bus publish fanned
 # out to 1000 connected SSE subscribers.

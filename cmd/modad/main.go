@@ -115,6 +115,25 @@ func main() {
 	}
 }
 
+// checkWorkerFlags refuses the flags a worker has no use for, when set on
+// the command line: a worker keeps no journal or snapshots and serves no
+// HTTP, so one the operator meant to be durable fails at startup instead of
+// coming back empty after a restart.
+func checkWorkerFlags() error {
+	var set []string
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "wal-dir", "fsync", "snapshot-every", "http":
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) > 0 {
+		return fmt.Errorf("-role=worker does not take %s: a worker keeps no journal or snapshots and serves no HTTP",
+			strings.Join(set, ", "))
+	}
+	return nil
+}
+
 // runScenario is the -scenario batch path: the full stack assembled from
 // one declarative document, run to its horizon, scored, and printed.
 func runScenario(path string) error {
@@ -172,6 +191,11 @@ func run() error {
 	// Coordinator and worker roles branch off here; the single-process path
 	// below adds durability and the full serving surface to the same stack
 	// a worker runs (newDaemon).
+	if *role == "worker" {
+		if err := checkWorkerFlags(); err != nil {
+			return err
+		}
+	}
 	if *role != "single" {
 		cfg := clusterConfig{
 			Role: *role, Addr: *addr, HTTPAddr: *httpAddr,

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -123,4 +125,29 @@ func readLog(t *testing.T, path string) string {
 		t.Fatal(err)
 	}
 	return string(data)
+}
+
+// TestWorkerRejectsUnusedFlags starts a worker with -wal-dir: a worker keeps
+// no journal, so it must refuse the flag at startup, naming it, with a
+// non-zero exit, and create no directory.
+func TestWorkerRejectsUnusedFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test skipped in -short mode")
+	}
+	bin := buildModad(t)
+	walDir := filepath.Join(t.TempDir(), "wal")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-role=worker", "-join=127.0.0.1:1",
+		"-wal-dir="+walDir, "-duration=1s").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("worker with -wal-dir: %v, want a non-zero exit; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-role=worker does not take -wal-dir") {
+		t.Fatalf("worker error does not name -wal-dir; output:\n%s", out)
+	}
+	if _, err := os.Stat(walDir); !os.IsNotExist(err) {
+		t.Fatalf("worker created %s (stat: %v)", walDir, err)
+	}
 }

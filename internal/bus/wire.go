@@ -88,7 +88,9 @@ func (s *Server) DroppedFrames() uint64 { return s.dropped.Load() }
 // disconnect.
 func (s *Server) ReadErrors() uint64 { return s.readErrs.Load() }
 
-// Close stops the server and disconnects all clients.
+// Close stops the server and disconnects all clients. The listener closes
+// first: a client that redials the moment its link drops is refused, not
+// accepted into the backlog and dropped a second time.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -102,10 +104,11 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	s.cancel()
+	err := s.ln.Close()
 	for _, c := range conns {
 		c.Close() // unblocks the readLoop, which removes the connection
 	}
-	return s.ln.Close()
+	return err
 }
 
 func (s *Server) acceptLoop() {

@@ -1,8 +1,11 @@
 package tsdb
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,6 +101,75 @@ func FuzzApplyWAL(f *testing.F) {
 		}
 		if a, b := fuzzState(fast), fuzzState(ref); a != b {
 			t.Fatalf("ApplyWAL state differs from the decoding reference:\n wal: %s\n ref: %s", a, b)
+		}
+	})
+}
+
+// restoreReference restores a snapshot the way RestoreSnapshot did before it
+// had a decoder of its own: json.Unmarshal into dbSnap, then every series
+// through the same validation and creation path.
+func restoreReference(db *DB, data []byte) error {
+	var snap dbSnap
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return err
+	}
+	rules := db.loadRules()
+	for i := range snap.Series {
+		if err := db.restoreSeries(&snap.Series[i], rules); err != nil {
+			return err
+		}
+	}
+	db.creditAppended(snap.Appended)
+	return nil
+}
+
+// fuzzRestoreDB returns the fresh store a fuzzed snapshot is restored into:
+// one rollup rule is registered, so a snapshot series of metric m without
+// that rollup's state is backfilled.
+func fuzzRestoreDB(t *testing.T) *DB {
+	db := New(0)
+	if err := db.AddRollup(RollupRule{Metric: "m", Step: 10 * time.Second, Agg: AggMax}); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// FuzzRestoreSnapshot feeds arbitrary payloads to RestoreSnapshot: it never
+// panics, rejects only with a *DecodeError, and whatever it accepts the
+// json.Unmarshal reference accepts too, ending in the same state; the
+// restored store's own snapshot then restores to itself byte for byte. The
+// committed corpus holds canonical snapshots (rollups, escaped and invalid
+// UTF-8 labels), whitespace, reordered members, unknown, case-variant and
+// repeated keys, null, non-integer and out-of-range numbers, truncation,
+// trailing data and out-of-order samples.
+func FuzzRestoreSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db := fuzzRestoreDB(t)
+		if err := db.RestoreSnapshot(data); err != nil {
+			var de *DecodeError
+			if !errors.As(err, &de) || !de.Snapshot || !strings.HasPrefix(err.Error(), "tsdb: restore snapshot: ") {
+				t.Fatalf("RestoreSnapshot error %q (%T), want a snapshot *DecodeError", err, err)
+			}
+			return
+		}
+		ref := fuzzRestoreDB(t)
+		if err := restoreReference(ref, data); err != nil {
+			t.Fatalf("RestoreSnapshot accepted a payload the json.Unmarshal reference rejects: %v", err)
+		}
+		state := fuzzState(db)
+		if want := fuzzState(ref); state != want {
+			t.Fatalf("restored state differs from the reference:\n got: %s\nwant: %s", state, want)
+		}
+		if db.Appended() != ref.Appended() || db.NumSeries() != ref.NumSeries() {
+			t.Fatalf("restored %d appended / %d series, reference %d / %d",
+				db.Appended(), db.NumSeries(), ref.Appended(), ref.NumSeries())
+		}
+		again := fuzzRestoreDB(t)
+		if err := again.RestoreSnapshot([]byte(state)); err != nil {
+			t.Fatalf("restoring the restored store's snapshot: %v", err)
+		}
+		if got := fuzzState(again); got != state {
+			t.Fatalf("snapshot does not restore to itself:\n got: %s\nwant: %s", got, state)
 		}
 	})
 }

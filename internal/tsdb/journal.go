@@ -73,14 +73,24 @@ func appendSampleEnc(buf []byte, s *memSeries, t time.Duration, v float64) []byt
 	return buf
 }
 
-// DecodeError reports a malformed journal record. Replay stops at the first
-// one: the log holds only accepted appends, so a record that does not decode
-// is damage, not data.
+// DecodeError reports a malformed journal record or snapshot payload.
+// Replay stops at the first bad record: the log holds only accepted
+// appends, so a record that does not decode is damage, not data.
 type DecodeError struct {
 	Reason string
+	// Snapshot marks an error of RestoreSnapshot; Offset is then the byte
+	// offset in the payload where it was found (for a series that fails
+	// validation, the offset where that series starts).
+	Snapshot bool
+	Offset   int
 }
 
-func (e *DecodeError) Error() string { return "tsdb: journal decode: " + e.Reason }
+func (e *DecodeError) Error() string {
+	if e.Snapshot {
+		return fmt.Sprintf("tsdb: restore snapshot: offset %d: %s", e.Offset, e.Reason)
+	}
+	return "tsdb: journal decode: " + e.Reason
+}
 
 // scanString reads one uvarint-prefixed string in place.
 func scanString(buf []byte) (s, rest []byte, ok bool) {

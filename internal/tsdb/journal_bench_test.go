@@ -84,23 +84,21 @@ var replayRules = []RollupRule{
 
 // newReplayDB returns an empty store with replayRules registered.
 func newReplayDB(tb testing.TB) *DB {
-	db := New(replayRetain)
-	for _, rule := range replayRules {
-		if err := db.AddRollup(rule); err != nil {
-			tb.Fatalf("AddRollup: %v", err)
-		}
+	db, err := newReplayStore()
+	if err != nil {
+		tb.Fatalf("AddRollup: %v", err)
 	}
 	return db
 }
 
-// replayJournal is built once per process: replayBatches sweeps of 2048
-// nodes x 5 metrics labelled node and rack, plus 32 OSTs x 4 metrics
-// labelled ost — 10,368 series — journaled through AppendBatch.
-var replayJournal = sync.OnceValues(func() (*memJournal, error) {
+// facilityPoints returns one sweep of a facility's hw and pfs series: nodes
+// nodes x 5 metrics labelled node and rack, plus replayOSTs OSTs x 4
+// metrics labelled ost. Times and values are left for the caller to set.
+func facilityPoints(nodes int) []telemetry.Point {
 	nodeMetrics := []string{"node.cpu.util", "node.power.watts", "node.temp.celsius", "node.mem.used_gb", "node.cores.used"}
 	ostMetrics := []string{"pfs.ost.mbps", "pfs.ost.queue", "pfs.ost.busy_frac", "pfs.ost.lat_ms"}
 	var pts []telemetry.Point
-	for n := 0; n < replayNodes; n++ {
+	for n := 0; n < nodes; n++ {
 		l := telemetry.Labels{"node": fmt.Sprintf("node%04d", n), "rack": fmt.Sprintf("r%02d", n/replayRackSize)}
 		for _, m := range nodeMetrics {
 			pts = append(pts, telemetry.Point{Name: m, Labels: l})
@@ -112,25 +110,46 @@ var replayJournal = sync.OnceValues(func() (*memJournal, error) {
 			pts = append(pts, telemetry.Point{Name: m, Labels: l})
 		}
 	}
+	return pts
+}
+
+// sweepFacility appends sweeps rounds of pts, replayStep apart, to db.
+func sweepFacility(db *DB, pts []telemetry.Point, sweeps int) error {
+	for b := 0; b < sweeps; b++ {
+		for i := range pts {
+			pts[i].Time = time.Duration(b+1) * replayStep
+			pts[i].Value = float64((b*31+i*7)%997) / 10
+		}
+		if err := db.AppendBatch(pts); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replayJournal is built once per process: replayBatches sweeps of 2048
+// nodes x 5 metrics labelled node and rack, plus 32 OSTs x 4 metrics
+// labelled ost — 10,368 series — journaled through AppendBatch.
+var replayJournal = sync.OnceValues(func() (*memJournal, error) {
+	db, err := newReplayStore()
+	if err != nil {
+		return nil, err
+	}
+	j := &memJournal{}
+	db.Journal(j)
+	return j, sweepFacility(db, facilityPoints(replayNodes), replayBatches)
+})
+
+// newReplayStore returns an empty store with replayRules registered.
+func newReplayStore() (*DB, error) {
 	db := New(replayRetain)
 	for _, rule := range replayRules {
 		if err := db.AddRollup(rule); err != nil {
 			return nil, err
 		}
 	}
-	j := &memJournal{}
-	db.Journal(j)
-	for b := 0; b < replayBatches; b++ {
-		for i := range pts {
-			pts[i].Time = time.Duration(b+1) * replayStep
-			pts[i].Value = float64((b*31+i*7)%997) / 10
-		}
-		if err := db.AppendBatch(pts); err != nil {
-			return nil, err
-		}
-	}
-	return j, nil
-})
+	return db, nil
+}
 
 // BenchmarkApplyWAL replays a journal shaped like a served facility's —
 // replayBatches sweeps of 10,368 series, ~2.28M points — into a fresh
@@ -155,4 +174,47 @@ func BenchmarkApplyWAL(b *testing.B) {
 		points = int(db.Appended())
 	}
 	b.ReportMetric(float64(points), "points/op")
+}
+
+// Shape of the restored snapshot: a stress-scale facility, 10,240 nodes x 5
+// metrics plus the OSTs (51,328 series), restoreSweeps sweeps deep.
+const (
+	restoreNodes  = 10240
+	restoreSweeps = 30
+)
+
+// restoreSnapshot is built once per process: the Snapshot of a store that
+// took restoreSweeps facility sweeps with modad's rollups registered, so it
+// carries raw samples, flushed rollup samples and open rollup buckets.
+var restoreSnapshot = sync.OnceValues(func() ([]byte, error) {
+	db, err := newReplayStore()
+	if err != nil {
+		return nil, err
+	}
+	if err := sweepFacility(db, facilityPoints(restoreNodes), restoreSweeps); err != nil {
+		return nil, err
+	}
+	return db.Snapshot()
+})
+
+// BenchmarkRestoreSnapshot restores a stress-scale snapshot (~1.5M samples)
+// into a fresh store per iteration: the snapshot half of recovery, which
+// ApplyWAL's tail replay then completes.
+func BenchmarkRestoreSnapshot(b *testing.B) {
+	snap, err := restoreSnapshot()
+	if err != nil {
+		b.Fatalf("build snapshot: %v", err)
+	}
+	var series int
+	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db := newReplayDB(b)
+		if err := db.RestoreSnapshot(snap); err != nil {
+			b.Fatalf("RestoreSnapshot: %v", err)
+		}
+		series = db.NumSeries()
+	}
+	b.ReportMetric(float64(series), "series/op")
 }
